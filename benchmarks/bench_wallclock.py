@@ -16,10 +16,12 @@ Run directly (or via ``scripts/bench_wallclock.sh``)::
 Schema (``SCHEMA_VERSION``; version 2 added ``concurrent_mixed``, version 3
 added the ``resize_churn`` op and top-level section, version 4 the
 ``persist`` section, version 5 the ``incremental_resize`` latency
-comparison, version 6 the ``parallel`` measured-multiprocess section)::
+comparison, version 6 the ``parallel`` measured-multiprocess section, and
+version 7 removed ``parallel`` again together with the process shard
+executor it measured)::
 
     {
-      "schema_version": 6,
+      "schema_version": 7,
       "benchmark": "bulk_wallclock",
       "device_model": "...", "python": "...", "numpy": "...",
       "config": {"beta": ..., "repeats": ..., "sizes": [...]},
@@ -39,12 +41,7 @@ comparison, version 6 the ``parallel`` measured-multiprocess section)::
                              "stw_over_incremental_max": r},
       "persist": {"num_keys": N, "snapshot_seconds": ..., "restore_seconds": ...,
                   "wal_append_seconds": ..., "replay_seconds": ...,
-                  "snapshot_bytes": ..., "wal_bytes": ..., ...},
-      "parallel": {"op": "bulk_build", "num_keys": N, "num_shards": 8,
-                   "workers": 8, "cpu_count": ..., "serial_seconds": ...,
-                   "process_seconds": ..., "worker_cpu_seconds": [...],
-                   "critical_path_seconds": ..., "measured_speedup": ...,
-                   "critical_path_speedup": ...}
+                  "snapshot_bytes": ..., "wal_bytes": ..., ...}
     }
 
 ``incremental_resize`` (owned by ``benchmarks/bench_resize.py``) compares
@@ -58,15 +55,6 @@ The ``persist`` section (snapshot/restore/WAL-append/replay throughput of
 :mod:`repro.persist` at the largest size) is owned by
 ``benchmarks/bench_persist.py``; its restore is verified bit-identical
 before the timing is reported.
-
-The ``parallel`` section (owned by ``benchmarks/bench_parallel.py``) is the
-**measured** multiprocess-parallelism series: the largest size's bulk build
-on an 8-shard engine, serial versus ``executor="process"``, verified
-bit-identical before timing.  ``critical_path_speedup`` (serial wall over
-the busiest worker's measured CPU seconds) is floor-enforced at 3x for
-production sizes; ``measured_speedup`` (end-to-end wall clock) is
-floor-enforced only when the host has a core per worker — see that module's
-docstring for why both numbers exist.
 
 ``resize_churn`` entries time the churn scenario of
 :mod:`repro.workloads.churn` on an auto-resizing table (``num_keys`` is the
@@ -93,7 +81,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-import bench_parallel
 import bench_persist
 import bench_resize
 from repro.core.bulk_exec import BACKENDS
@@ -101,7 +88,7 @@ from repro.core.slab_hash import SlabHash
 from repro.gpusim.device import TESLA_K40C
 from repro.workloads.distributions import GAMMA_40_UPDATES, build_concurrent_workload
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 DEFAULT_SIZES = (20_000, 100_000)
 DEFAULT_BETA = 0.6
 DEFAULT_OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -224,9 +211,6 @@ def run_benchmark(
         "incremental_resize": bench_resize.incremental_comparison(int(max(sizes))),
         # Durability primitives (snapshot/restore/WAL/replay), largest size.
         "persist": bench_persist.measure_persist(int(max(sizes))),
-        # Measured multiprocess parallelism: serial vs process-executor bulk
-        # build on 8 shards, verified bit-identical first (schema v6).
-        "parallel": bench_parallel.measure_parallel(int(max(sizes))),
     }
 
 
@@ -248,7 +232,6 @@ def validate_document(document: dict) -> None:
         "resize_churn": dict,
         "incremental_resize": dict,
         "persist": dict,
-        "parallel": dict,
     }
     for field, kind in required_top.items():
         if field not in document:
@@ -287,7 +270,6 @@ def validate_document(document: dict) -> None:
     bench_resize.validate_section(document["resize_churn"])
     bench_resize.validate_incremental_section(document["incremental_resize"])
     bench_persist.validate_section(document["persist"])
-    bench_parallel.validate_section(document["parallel"])
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -326,11 +308,6 @@ def main(argv: Optional[list] = None) -> int:
           f"({persist['snapshot_bytes'] / 1024:.0f} KiB), "
           f"restore {persist['restore_seconds']:.3f}s, "
           f"replay {persist['replay_ops_per_sec'] / 1e3:.1f} kops/s")
-    parallel = document["parallel"]
-    print(f"  parallel n={parallel['num_keys']} shards={parallel['num_shards']} "
-          f"workers={parallel['workers']} (cores: {parallel['cpu_count']}): "
-          f"measured {parallel['measured_speedup']:.2f}x, "
-          f"critical path {parallel['critical_path_speedup']:.2f}x")
     return 0
 
 

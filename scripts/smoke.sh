@@ -37,58 +37,6 @@ echo "== Service health counters (healthy + chaotic) =="
 python -m repro service-health --ops 2048
 python -m repro service-health --ops 2048 --chaos-seed 7
 
-echo "== Process-executor service (real worker processes, incl. worker kills) =="
-python -m repro service-health --ops 2048 --executor process --workers 2
-python -m repro service-health --ops 2048 --executor process --workers 2 --chaos-seed 7
-
-echo "== Process-executor teardown is crash-safe (no leaked workers) =="
-python - <<'PY'
-# Workers are daemonic spawn-context processes: even if close() is never
-# called (a crashed parent), they must die with the parent rather than
-# leak. Simulate the crash in a child interpreter and verify its workers
-# are gone afterwards.
-import os
-import signal
-import subprocess
-import sys
-import time
-
-child_src = """
-import os, sys
-import numpy as np
-from repro.engine import ShardedSlabHash
-
-engine = ShardedSlabHash(4, 64, seed=1, executor="process", executor_workers=2)
-keys = np.arange(1, 513, dtype=np.uint64)
-engine.bulk_insert(keys, keys * 2)
-assert len(engine) == 512
-pids = [pid for pid in engine.process_executor.worker_pids() if pid]
-print(" ".join(str(pid) for pid in pids), flush=True)
-os.kill(os.getpid(), 9)  # crash without close(): workers must not leak
-"""
-proc = subprocess.run(
-    [sys.executable, "-c", child_src],
-    capture_output=True, text=True, env=dict(os.environ),
-)
-assert proc.returncode == -signal.SIGKILL, proc.stderr
-worker_pids = [int(tok) for tok in proc.stdout.split()]
-assert worker_pids, "child printed no worker pids"
-deadline = time.time() + 10.0
-while time.time() < deadline:
-    alive = []
-    for pid in worker_pids:
-        try:
-            os.kill(pid, 0)
-        except OSError:
-            continue
-        alive.append(pid)
-    if not alive:
-        break
-    time.sleep(0.1)
-assert not alive, f"leaked worker processes after parent crash: {alive}"
-print(f"teardown OK: {len(worker_pids)} workers died with their parent")
-PY
-
 echo "== Durable snapshot / recover (persistence layer) =="
 python -m repro snapshot results/smoke/snapshot-demo.npz --elements 2048
 python -m repro recover results/smoke/snapshot-demo.npz

@@ -1,7 +1,7 @@
 """Core of the repo's static-analysis plane: modules, rules, suppressions.
 
 Every subsystem since the vectorized backend stakes its correctness on one
-contract — vectorized, sharded, multiprocess, and recovered executions are
+contract — vectorized, sharded, and recovered executions are
 *bit-identical* to the reference backend.  The proptest harnesses enforce
 that dynamically; this package enforces the properties they depend on
 *statically*, at lint time:

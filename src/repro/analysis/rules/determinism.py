@@ -1,7 +1,7 @@
 """Determinism rules: no ambient time, no ambient randomness, no set order.
 
 The bit-identity contract (results, device counters, snapshot bytes equal
-across backends, shard layouts, process executors, and recovery) only holds
+across backends, shard layouts, and recovery) only holds
 if nothing in the state-bearing planes reads an ambient source of
 nondeterminism.  These rules ban the three ways that happens in practice:
 wall-clock reads, unseeded RNGs, and iteration order of unordered sets.

@@ -199,13 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     health.add_argument("--fault-rate", type=float, default=0.05,
                         help="per-occurrence injection probability when "
                              "--chaos-seed is set (default %(default)s)")
-    health.add_argument("--executor", choices=["serial", "process"], default="serial",
-                        help="shard execution mode: 'process' hands each shard "
-                             "to a persistent worker process and runs batches "
-                             "there (bit-identical results; docs/API.md)")
-    health.add_argument("--workers", type=int, default=None,
-                        help="worker processes with --executor process "
-                             "(default: one per shard)")
 
     lint = sub.add_parser(
         "lint",
@@ -407,10 +400,6 @@ def _cmd_service_health(args: argparse.Namespace, stream: TextIO) -> int:
             sites.append(
                 (f"shard:{shard}.alloc.warp_allocate", FaultAction(exc="alloc"))
             )
-            if args.executor == "process":
-                # With the process executor the interesting failure is a
-                # worker dying mid-traffic, not an in-process batch fault.
-                sites.append((f"shard:{shard}.worker", FaultAction(exc="worker")))
         plan = FaultPlan.random(args.chaos_seed, sites, rate=args.fault_rate)
 
     engine = ShardedSlabHash(max(1, args.shards), 64, seed=args.seed)
@@ -419,8 +408,6 @@ def _cmd_service_health(args: argparse.Namespace, stream: TextIO) -> int:
         max_delay=0.001,
         max_pending_per_shard=4096,
         breaker_threshold=2,
-        executor=args.executor if args.executor != "serial" else None,
-        executor_workers=args.workers,
     )
     service = SlabHashService(engine, config=config, faults=plan)
 
@@ -452,10 +439,7 @@ def _cmd_service_health(args: argparse.Namespace, stream: TextIO) -> int:
             while service._restore_tasks:
                 await asyncio.sleep(0.001)
 
-    try:
-        asyncio.run(run())
-    finally:
-        engine.close()  # tears down process-executor workers; serial no-op
+    asyncio.run(run())
 
     stats = service.stats().as_dict()
     healthy = all(state != LANE_OPEN for state in service.lane_states)

@@ -7,11 +7,9 @@ This package layers a concurrent-workload engine on top of
   (hash-partition, range-partition, round-robin for build-only loads);
 * :class:`~repro.engine.sharded.ShardedSlabHash` — N independent
   :class:`~repro.core.slab_hash.SlabHash` shards, each with its own simulated
-  device and allocator, behind SlabHash's bulk/concurrent API;
-* :class:`~repro.engine.parallel.ProcessShardExecutor` — opt-in real
-  multiprocess shard execution (``ShardedSlabHash(executor="process")``):
-  worker-resident shards, bit-identical results and counters, measured
-  wall-clock concurrency;
+  device and allocator, behind SlabHash's bulk/concurrent API.  Shards run
+  one after another in this process; their concurrency is modelled, not
+  executed;
 * :class:`~repro.engine.stats.EngineStats` — merged per-shard counters plus
   the parallel (max-over-shards) and serial (sum-over-shards) time views.
 
@@ -20,7 +18,6 @@ are driven by this package; ``docs/ARCHITECTURE.md`` shows where it sits in
 the layer diagram.
 """
 
-from repro.engine.parallel import ProcessShardExecutor
 from repro.engine.router import ROUTING_POLICIES, ShardRouter
 from repro.engine.sharded import MigrationInFlightError, ShardedSlabHash
 from repro.engine.stats import EngineStats, ShardPhase, merge_counters
@@ -28,7 +25,6 @@ from repro.engine.stats import EngineStats, ShardPhase, merge_counters
 __all__ = [
     "ROUTING_POLICIES",
     "MigrationInFlightError",
-    "ProcessShardExecutor",
     "ShardRouter",
     "ShardedSlabHash",
     "EngineStats",

@@ -23,19 +23,6 @@ the sum — :meth:`ShardedSlabHash.measure` returns an
 :class:`~repro.engine.stats.EngineStats` with both views plus the merged
 counters.
 
-Shards can also execute concurrently *for real*: constructing the engine
-with ``executor="process"`` hands each shard to a persistent worker process
-(:class:`~repro.engine.parallel.ProcessShardExecutor`) and every engine
-operation dispatches per-shard sub-batches to the workers instead of running
-them inline.  Results, device counters, and migration/resize behavior are
-bit-identical to the serial path (``tests/engine/test_parallel.py`` and the
-proptest differential harness assert this); what changes is measured
-wall-clock, which ``benchmarks/bench_parallel.py`` records next to the
-modelled curve.  The parent keeps a *mirror* of every shard: counters are
-refreshed on every dispatch, and full shard state is collected back
-(in place, preserving object identity) whenever a structural read —
-``items()``, ``save()``, the ``shards`` property — needs it.
-
 The ``reproduce shard-sweep`` experiment
 (:func:`repro.perf.figures.shard_sweep`) sweeps the shard count and reports
 the resulting scaling efficiency on bulk and mixed concurrent workloads.
@@ -44,12 +31,7 @@ the resulting scaling efficiency on bulk and mixed concurrent workloads.
 from __future__ import annotations
 
 import math
-from types import TracebackType
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Type
-
-if TYPE_CHECKING:
-    from repro.engine.interfaces import ShardExecutor
-    from repro.engine.parallel import ShardQuery
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,9 +50,6 @@ __all__ = ["MigrationInFlightError", "ShardedSlabHash"]
 #: Seed offset between the router's hash draw and the shard tables' draws, so
 #: shard choice and bucket choice are independent members of the family.
 _SHARD_SEED_STRIDE = 101
-
-#: Accepted values for the ``executor`` constructor knob.
-_EXECUTORS = (None, "serial", "process")
 
 
 class MigrationInFlightError(RuntimeError):
@@ -126,19 +105,6 @@ class ShardedSlabHash:
         deferred).  :meth:`rebalance` additionally right-sizes unevenly
         loaded shards directly to the policy's target beta.  (Named to
         avoid clashing with ``policy``, the routing policy.)
-    executor:
-        ``None``/``"serial"`` (default) runs every shard inline.
-        ``"process"`` attaches a
-        :class:`~repro.engine.parallel.ProcessShardExecutor`: each shard
-        lives resident in a worker process and engine calls dispatch
-        per-shard work to the workers — bit-identical results and counters,
-        real wall-clock concurrency.  See ``docs/API.md`` for restrictions
-        (call :meth:`close` when done; mutate shards through the engine API
-        only).
-    executor_workers:
-        Worker-process count for ``executor="process"`` (shard ``i`` lives
-        in worker ``i % executor_workers``).  Defaults to one worker per
-        shard.
     """
 
     def __init__(
@@ -155,13 +121,11 @@ class ShardedSlabHash:
         seed: int = 0,
         backend: Optional[str] = None,
         load_factor_policy: Optional[LoadFactorPolicy] = None,
-        executor: Optional[str] = None,
-        executor_workers: Optional[int] = None,
     ) -> None:
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
         self.router = ShardRouter(num_shards, policy=policy, seed=seed)
-        self._shards: List[SlabHash] = [
+        self.shards: List[SlabHash] = [
             SlabHash(
                 buckets_per_shard,
                 device=Device(device_spec),
@@ -177,9 +141,6 @@ class ShardedSlabHash:
         ]
         self.cost_model = CostModel(device_spec)
         self._ops_routed = np.zeros(num_shards, dtype=np.int64)
-        self._executor: Optional["ShardExecutor"] = None
-        self._stale = False
-        self.attach_executor(executor, executor_workers)
 
     # ------------------------------------------------------------------ #
     # Sizing helpers
@@ -206,115 +167,6 @@ class ShardedSlabHash:
         return cls(num_shards, buckets, key_value=key_value, **kwargs)
 
     # ------------------------------------------------------------------ #
-    # Process-executor plumbing
-    # ------------------------------------------------------------------ #
-
-    @property
-    def shards(self) -> List[SlabHash]:
-        """The shard tables — synced from the workers first in process mode.
-
-        In process mode the worker-resident state is authoritative; reading
-        this property collects it back into the parent mirror **in place**
-        (existing shard objects keep their identity, so references held by a
-        service or by tests stay valid).  Prefer :meth:`migrating_shards`,
-        :meth:`shard_sizes` and friends for cheap summaries — they query the
-        workers without moving shard state.
-        """
-        self._sync()
-        return self._shards
-
-    @shards.setter
-    def shards(self, value: List[SlabHash]) -> None:
-        if getattr(self, "_executor", None) is not None:
-            raise RuntimeError(
-                "cannot replace the shard list while a process executor is "
-                "attached; use install_shard() or close() first"
-            )
-        self._shards = list(value)
-
-    @property
-    def process_executor(self) -> Optional["ShardExecutor"]:
-        """The attached executor (today a :class:`ProcessShardExecutor`), or ``None`` (serial)."""
-        return self._executor
-
-    def attach_executor(
-        self, executor: Optional[str], num_workers: Optional[int] = None
-    ) -> "ShardedSlabHash":
-        """Attach an execution mode; ``None``/``"serial"`` is a no-op.
-
-        Restored engines come back serial (worker processes are not part of
-        a snapshot), so a service that wants process execution re-attaches
-        after :func:`repro.persist.recover`.  Attaching ships the current
-        shard state to fresh workers; attaching when an executor is already
-        live is an error (close it first).
-        """
-        if executor not in _EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
-            )
-        if executor != "process":
-            return self
-        if self._executor is not None:
-            raise RuntimeError("a process executor is already attached")
-        from repro.engine.parallel import ProcessShardExecutor
-
-        self._executor = ProcessShardExecutor(self._shards, num_workers)
-        self._stale = False
-        return self
-
-    def close(self) -> None:
-        """Tear down worker processes; the engine degrades to serial.
-
-        Best-effort: the final worker state is collected into the mirror
-        when the workers are still healthy, so a closed engine continues
-        serving serially from exactly where the workers left off.  Safe to
-        call twice, and a no-op in serial mode.
-        """
-        if self._executor is None:
-            return
-        executor, self._executor = self._executor, None
-        try:
-            if self._stale and not executor.closed:
-                executor.sync(self._shards)
-                self._stale = False
-        finally:
-            executor.close()
-
-    def __enter__(self) -> "ShardedSlabHash":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        self.close()
-
-    def _sync(self) -> None:
-        """Collect worker shard state into the mirror if it is stale."""
-        if self._executor is not None and self._stale:
-            self._executor.sync(self._shards)
-            self._stale = False
-
-    def _queries(self) -> List["ShardQuery"]:
-        return self._executor.query(range(self.num_shards))
-
-    def install_shard(self, shard: int, table: SlabHash) -> None:
-        """Replace one shard's table (the service's quarantine-restore hook).
-
-        The mirror entry is swapped and, in process mode, the new state is
-        shipped to the shard's worker — respawning it first if it died,
-        which is exactly the path a :class:`~repro.faults.WorkerCrashed`
-        restore takes.
-        """
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
-        self._shards[shard] = table
-        if self._executor is not None:
-            self._executor.load_shard(shard, table)
-
-    # ------------------------------------------------------------------ #
     # Routing plumbing
     # ------------------------------------------------------------------ #
 
@@ -325,15 +177,12 @@ class ShardedSlabHash:
     @property
     def num_buckets(self) -> int:
         """Total buckets across all shards."""
-        if self._executor is not None and self._stale:
-            return sum(q["num_buckets"] for q in self._queries())
-        return sum(shard.num_buckets for shard in self._shards)
+        return sum(shard.num_buckets for shard in self.shards)
 
     @property
     def devices(self) -> List[Device]:
-        """Per-shard devices; counters stay serial-identical in process mode
-        because every worker reply mirrors its shard's counter state back."""
-        return [shard.device for shard in self._shards]
+        """Per-shard devices."""
+        return [shard.device for shard in self.shards]
 
     def _require_key_partitioning(self, operation: str) -> None:
         if not self.router.key_partitioning:
@@ -383,7 +232,7 @@ class ShardedSlabHash:
         values = None if values is None else np.asarray(values, dtype=np.int64)
         if (
             not self.router.key_partitioning
-            and self._shards[0].config.unique_keys
+            and self.shards[0].config.unique_keys
             and np.unique(keys).size != keys.size
         ):
             # Round-robin would deal two occurrences of a key to different
@@ -394,17 +243,7 @@ class ShardedSlabHash:
                 "range policy, or deduplicate the batch"
             )
         parts = self._partition(keys)
-        if self._executor is not None:
-            self._stale = True
-            self._executor.run_calls(
-                [
-                    (shard, "bulk_insert", (keys[idx], None if values is None else values[idx]))
-                    for shard, idx in enumerate(parts)
-                    if idx.size
-                ]
-            )
-            return
-        for shard, idx in zip(self._shards, parts):
+        for shard, idx in zip(self.shards, parts):
             if idx.size:
                 shard.bulk_insert(keys[idx], None if values is None else values[idx])
 
@@ -414,16 +253,7 @@ class ShardedSlabHash:
         queries = np.asarray(queries, dtype=np.uint64)
         results = np.full(len(queries), C.SEARCH_NOT_FOUND, dtype=np.uint32)
         parts = self._partition(queries)
-        if self._executor is not None:
-            calls, scatter = [], []
-            for shard, idx in enumerate(parts):
-                if idx.size:
-                    calls.append((shard, "bulk_search", (queries[idx],)))
-                    scatter.append(idx)
-            for idx, found in zip(scatter, self._executor.run_calls(calls)):
-                results[idx] = found
-            return results
-        for shard, idx in zip(self._shards, parts):
+        for shard, idx in zip(self.shards, parts):
             if idx.size:
                 results[idx] = shard.bulk_search(queries[idx])
         return results
@@ -434,17 +264,7 @@ class ShardedSlabHash:
         keys = np.asarray(keys, dtype=np.uint64)
         removed = np.zeros(len(keys), dtype=np.int64)
         parts = self._partition(keys)
-        if self._executor is not None:
-            self._stale = True
-            calls, scatter = [], []
-            for shard, idx in enumerate(parts):
-                if idx.size:
-                    calls.append((shard, "bulk_delete", (keys[idx],)))
-                    scatter.append(idx)
-            for idx, counts in zip(scatter, self._executor.run_calls(calls)):
-                removed[idx] = counts
-            return removed
-        for shard, idx in zip(self._shards, parts):
+        for shard, idx in zip(self.shards, parts):
             if idx.size:
                 removed[idx] = shard.bulk_delete(keys[idx])
         return removed
@@ -482,28 +302,7 @@ class ShardedSlabHash:
         values = None if values is None else np.asarray(values, dtype=np.int64)
         results = np.zeros(len(keys), dtype=np.uint32)
         parts = self._partition(keys)
-        if self._executor is not None:
-            self._stale = True
-            batches, scatter = [], []
-            for number, idx in enumerate(parts):
-                if not idx.size:
-                    continue
-                seed = None if scheduler_seed is None else scheduler_seed + number
-                batches.append(
-                    (
-                        number,
-                        op_codes[idx],
-                        keys[idx],
-                        None if values is None else values[idx],
-                        seed,
-                        wave_size,
-                    )
-                )
-                scatter.append(idx)
-            for idx, sub in zip(scatter, self._executor.run_concurrent(batches)):
-                results[idx] = sub
-            return results
-        for number, (shard, idx) in enumerate(zip(self._shards, parts)):
+        for number, (shard, idx) in enumerate(zip(self.shards, parts)):
             if not idx.size:
                 continue
             scheduler = None
@@ -518,37 +317,6 @@ class ShardedSlabHash:
             )
         return results
 
-    def execute_shard_batch(
-        self,
-        shard: int,
-        op_codes: np.ndarray,
-        keys: np.ndarray,
-        values: Optional[np.ndarray],
-        *,
-        scheduler_seed: Optional[int] = None,
-        wave_size: Optional[int] = None,
-    ) -> np.ndarray:
-        """Run one *pre-routed* concurrent batch on a single shard.
-
-        The service's per-shard drain loops stage batches that are already
-        partitioned; this hook executes one of them on the owning shard —
-        inline in serial mode, dispatched to the shard's worker in process
-        mode — with identical results and counters either way.  The
-        scheduler is built from ``scheduler_seed`` locally on whichever side
-        executes (schedulers are deterministic functions of their seed).
-        """
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
-        if self._executor is not None:
-            self._stale = True
-            return self._executor.run_concurrent(
-                [(shard, op_codes, keys, values, scheduler_seed, wave_size)]
-            )[0]
-        scheduler = None if scheduler_seed is None else WarpScheduler(seed=scheduler_seed)
-        return self._shards[shard].concurrent_batch(
-            op_codes, keys, values, scheduler=scheduler, wave_size=wave_size
-        )
-
     # ------------------------------------------------------------------ #
     # Single-operation convenience API
     # ------------------------------------------------------------------ #
@@ -556,19 +324,13 @@ class ShardedSlabHash:
     def insert(self, key: int, value: Optional[int] = None) -> None:
         shard = self.router.shard_of(key)
         self._ops_routed[shard] += 1
-        if self._executor is not None:
-            self._stale = True
-            self._executor.call(shard, "insert", key, value)
-            return
-        self._shards[shard].insert(key, value)
+        self.shards[shard].insert(key, value)
 
     def search(self, key: int) -> Optional[int]:
         self._require_key_partitioning("search")
         shard = self.router.shard_of(key)
         self._ops_routed[shard] += 1
-        if self._executor is not None:
-            return self._executor.call(shard, "search", key)
-        return self._shards[shard].search(key)
+        return self.shards[shard].search(key)
 
     def __contains__(self, key: int) -> bool:
         return self.search(key) is not None
@@ -577,29 +339,21 @@ class ShardedSlabHash:
         self._require_key_partitioning("delete")
         shard = self.router.shard_of(key)
         self._ops_routed[shard] += 1
-        if self._executor is not None:
-            self._stale = True
-            return self._executor.call(shard, "delete", key)
-        return self._shards[shard].delete(key)
+        return self.shards[shard].delete(key)
 
     def search_all(self, key: int) -> List[int]:
         """Every value stored under ``key`` (duplicates mode; cf. SlabHash)."""
         self._require_key_partitioning("search_all")
         shard = self.router.shard_of(key)
         self._ops_routed[shard] += 1
-        if self._executor is not None:
-            return self._executor.call(shard, "search_all", key)
-        return self._shards[shard].search_all(key)
+        return self.shards[shard].search_all(key)
 
     def delete_all(self, key: int) -> int:
         """Delete every occurrence of ``key``; returns the number removed."""
         self._require_key_partitioning("delete_all")
         shard = self.router.shard_of(key)
         self._ops_routed[shard] += 1
-        if self._executor is not None:
-            self._stale = True
-            return self._executor.call(shard, "delete_all", key)
-        return self._shards[shard].delete_all(key)
+        return self.shards[shard].delete_all(key)
 
     # ------------------------------------------------------------------ #
     # Online resizing and rebalancing
@@ -631,19 +385,11 @@ class ShardedSlabHash:
         """
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
-        if self._executor is not None:
-            self._stale = True
-            if incremental:
-                return self._executor.call(
-                    shard, "begin_resize", num_buckets,
-                    trigger=trigger, step_buckets=step_buckets,
-                )
-            return self._executor.call(shard, "resize", num_buckets, trigger=trigger)
         if incremental:
-            return self._shards[shard].begin_resize(
+            return self.shards[shard].begin_resize(
                 num_buckets, trigger=trigger, step_buckets=step_buckets
             )
-        return self._shards[shard].resize(num_buckets, trigger=trigger)
+        return self.shards[shard].resize(num_buckets, trigger=trigger)
 
     def migrate_step_shard(
         self, shard: int, max_buckets: Optional[int] = None
@@ -651,16 +397,11 @@ class ShardedSlabHash:
         """Advance one shard's in-flight migration by at most ``max_buckets``."""
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
-        if self._executor is not None:
-            self._stale = True
-            return self._executor.call(shard, "migrate_step", max_buckets)
-        return self._shards[shard].migrate_step(max_buckets)
+        return self.shards[shard].migrate_step(max_buckets)
 
     def migrating_shards(self) -> List[int]:
         """Indices of shards with a migration currently in flight."""
-        if self._executor is not None and self._stale:
-            return [i for i, q in enumerate(self._queries()) if q["migrating"]]
-        return [i for i, shard in enumerate(self._shards) if shard.migration is not None]
+        return [i for i, shard in enumerate(self.shards) if shard.migration is not None]
 
     def maybe_resize(self) -> List[ResizeResult]:
         """Pump each shard's migration / load-factor policy (see SlabHash).
@@ -669,16 +410,8 @@ class ShardedSlabHash:
         a bounded number of steps while its neighbours follow their own
         policies, so one shard's long migration never delays another's.
         """
-        if self._executor is not None:
-            self._stale = True
-            results: List[ResizeResult] = []
-            for performed in self._executor.run_calls(
-                [(shard, "maybe_resize", ()) for shard in range(self.num_shards)]
-            ):
-                results.extend(performed)
-            return results
-        results = []
-        for shard in self._shards:
+        results: List[ResizeResult] = []
+        for shard in self.shards:
             results.extend(shard.maybe_resize())
         return results
 
@@ -686,15 +419,12 @@ class ShardedSlabHash:
         """Pump one shard's migration / load-factor policy.
 
         The per-shard sibling of :meth:`maybe_resize`: the service calls it
-        between a shard's batches so one lane's maintenance never touches —
-        or, in process mode, never round-trips through — the other shards.
+        between a shard's batches so one lane's maintenance never touches
+        the other shards.
         """
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
-        if self._executor is not None:
-            self._stale = True
-            return self._executor.call(shard, "maybe_resize")
-        return self._shards[shard].maybe_resize()
+        return self.shards[shard].maybe_resize()
 
     def rebalance(
         self,
@@ -725,9 +455,6 @@ class ShardedSlabHash:
         front with :class:`MigrationInFlightError` before touching any
         shard.  Rebalance never retargets from a half-migrated bucket view.
 
-        In process mode rebalance is a barrier: worker shard state is
-        collected into the parent, rebalanced there, and re-shipped.
-
         Failure semantics: shards are independent devices with independent
         allocators, so one shard's failed migration (e.g. allocator
         exhaustion) must not starve the others of maintenance.  A failing
@@ -741,31 +468,15 @@ class ShardedSlabHash:
             raise ValueError(
                 f"on_migrating must be 'complete' or 'error', got {on_migrating!r}"
             )
-        if self._executor is not None:
-            self._sync()
-            self._stale = True
-            try:
-                results = self._rebalance_mirror(load_factor_policy, on_migrating)
-            finally:
-                # Serial-equivalent even on error: shards mutated before the
-                # failure stay mutated, so ship whatever the mirror holds.
-                self._executor.push(self._shards)
-                self._stale = False
-            return results
-        return self._rebalance_mirror(load_factor_policy, on_migrating)
-
-    def _rebalance_mirror(
-        self, load_factor_policy: Optional[LoadFactorPolicy], on_migrating: str
-    ) -> List[ResizeResult]:
         if on_migrating == "error":
             migrating = [
-                i for i, shard in enumerate(self._shards) if shard.migration is not None
+                i for i, shard in enumerate(self.shards) if shard.migration is not None
             ]
             if migrating:
                 raise MigrationInFlightError(migrating)
         results: List[ResizeResult] = []
         first_error: Optional[Exception] = None
-        for shard in self._shards:
+        for shard in self.shards:
             pol = load_factor_policy or shard.policy
             if pol is None:
                 raise ValueError(
@@ -806,8 +517,7 @@ class ShardedSlabHash:
 
         Convenience hook for :func:`repro.persist.save`; restoring yields a
         bit-identical engine (per-shard items, chains, allocator occupancy,
-        device counters, router draw and routing accounting).  In process
-        mode this is a barrier: worker shard state is collected first.
+        device counters, router draw and routing accounting).
         """
         from repro.persist.snapshot import save as _save
 
@@ -815,11 +525,7 @@ class ShardedSlabHash:
 
     @classmethod
     def load(cls, path: str) -> "ShardedSlabHash":
-        """Restore an engine from a snapshot directory written by :meth:`save`.
-
-        Restored engines are serial; pass the result through
-        :meth:`attach_executor` to resume process execution.
-        """
+        """Restore an engine from a snapshot directory written by :meth:`save`."""
         from repro.persist.snapshot import load as _load
 
         engine = _load(path)
@@ -847,8 +553,6 @@ class ShardedSlabHash:
         Maintenance phases that route no operations (``flush``,
         :meth:`rebalance`, :meth:`maybe_resize`) are measurable too: their
         migration events are merged and priced with ``num_ops == 0``.
-        Works unchanged in process mode — every dispatch mirrors the
-        worker-side counters back onto :attr:`devices`.
         """
         before_counters = [device.snapshot() for device in self.devices]
         before_ops = self._ops_routed.copy()
@@ -872,42 +576,23 @@ class ShardedSlabHash:
 
     def flush(self) -> None:
         """Compact every bucket of every shard and release empty slabs."""
-        if self._executor is not None:
-            self._stale = True
-            self._executor.run_calls(
-                [(shard, "flush", ()) for shard in range(self.num_shards)]
-            )
-            return
-        for shard in self._shards:
+        for shard in self.shards:
             shard.flush()
 
     def __len__(self) -> int:
-        if self._executor is not None and self._stale:
-            return sum(q["len"] for q in self._queries())
-        return sum(len(shard) for shard in self._shards)
+        return sum(len(shard) for shard in self.shards)
 
     def shard_sizes(self) -> np.ndarray:
         """Stored element count per shard (load-balance diagnostics)."""
-        if self._executor is not None and self._stale:
-            return np.array([q["len"] for q in self._queries()], dtype=np.int64)
-        return np.array([len(shard) for shard in self._shards], dtype=np.int64)
+        return np.array([len(shard) for shard in self.shards], dtype=np.int64)
 
     def used_bytes(self) -> int:
-        if self._executor is not None and self._stale:
-            return sum(q["used_bytes"] for q in self._queries())
-        return sum(shard.used_bytes() for shard in self._shards)
+        return sum(shard.used_bytes() for shard in self.shards)
 
     def memory_utilization(self) -> float:
         """Stored data bytes over total slab bytes, across all shards."""
-        if self._executor is not None and self._stale:
-            queries = self._queries()
-            stored = sum(
-                q["len"] * shard.config.element_bytes
-                for q, shard in zip(queries, self._shards)
-            )
-            return stored / sum(q["used_bytes"] for q in queries)
         stored = sum(
-            len(shard) * shard.config.element_bytes for shard in self._shards
+            len(shard) * shard.config.element_bytes for shard in self.shards
         )
         return stored / self.used_bytes()
 
@@ -919,9 +604,8 @@ class ShardedSlabHash:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "process" if self._executor is not None else "serial"
         return (
             f"ShardedSlabHash(shards={self.num_shards}, "
             f"policy={self.router.policy!r}, buckets={self.num_buckets}, "
-            f"elements={len(self)}, executor={mode!r})"
+            f"elements={len(self)})"
         )

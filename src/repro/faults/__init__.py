@@ -17,7 +17,6 @@ from repro.faults.plan import (
     InjectedMigrationFailure,
     InjectedWalError,
     ScopedFaults,
-    WorkerCrashed,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "InjectedMigrationFailure",
     "InjectedWalError",
     "ScopedFaults",
-    "WorkerCrashed",
 ]

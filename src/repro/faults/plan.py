@@ -32,11 +32,6 @@ site                           fired by
 ``wal.fsync``                  same, after the write/flush, before fsync
 ``shard:<i>.execute``          the service drain, before a staged batch runs
 ``service.restore``            the quarantine-restore task, before ``recover()``
-``shard:<i>.worker``           :class:`repro.engine.parallel.ProcessShardExecutor`,
-                               before a command for shard ``i`` is dispatched
-                               to its worker process (the worker is killed
-                               and the dispatch fails with
-                               :class:`WorkerCrashed`)
 =============================  ==================================================
 
 See ``docs/FAULTS.md`` for the degradation semantics behind each site.
@@ -67,7 +62,6 @@ __all__ = [
     "InjectedMigrationFailure",
     "InjectedWalError",
     "SITE_CATALOG",
-    "WorkerCrashed",
 ]
 
 
@@ -115,13 +109,6 @@ SITE_CATALOG: Tuple[FaultSite, ...] = (
         component="drain loop",
         dirty=False,
         description="before shard i's staged batch runs (post-WAL-commit)",
-    ),
-    FaultSite(
-        name="shard:<i>.worker",
-        call_site="shard:<i>.worker",
-        component="process executor",
-        dirty=True,
-        description="on each dispatch to shard i's resident worker process",
     ),
     FaultSite(
         name="wal.append",
@@ -185,28 +172,12 @@ class InjectedWalError(InjectedFault, OSError):
     """Injected WAL I/O error (``wal.append`` / ``wal.write`` / ``wal.fsync``)."""
 
 
-class WorkerCrashed(InjectedFault, ConnectionError):
-    """A shard's worker process died mid-dispatch (``shard:<i>.worker`` site).
-
-    Raised by :class:`repro.engine.parallel.ProcessShardExecutor` both for
-    an injected kill and for a genuine worker death (segfault, OOM kill):
-    either way the worker-resident shard state is lost and the batch may
-    have partially applied, so — like every injected failure — a crash is
-    non-deterministic and non-replayable.  Subclassing :class:`InjectedFault`
-    routes both cases through the service's abort-marker + immediate-trip
-    path: the batch gets a durable WAL abort marker and the lane
-    quarantines, and the restore rebuilds the shard from the last
-    checkpoint plus the WAL tail and re-ships it to a fresh worker.
-    """
-
-
 #: Exception class per ``FaultAction.exc`` key.
 _EXCEPTIONS = {
     "alloc": InjectedAllocExhausted,
     "batch": InjectedBatchFailure,
     "migration": InjectedMigrationFailure,
     "os": InjectedWalError,
-    "worker": WorkerCrashed,
     "fault": InjectedFault,
 }
 

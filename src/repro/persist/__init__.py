@@ -25,11 +25,8 @@ See ``docs/PERSISTENCE.md`` for the file formats and recovery semantics.
 from repro.persist.recovery import RecoveryReport, WalFloorRegressionError, recover
 from repro.persist.snapshot import (
     SNAPSHOT_VERSION,
-    adopt_table_state,
     load,
     save,
-    table_from_bytes,
-    table_to_bytes,
     wal_floor,
 )
 from repro.persist.wal import WAL_VERSION, WalRecord, WriteAheadLog, read_records
@@ -41,12 +38,9 @@ __all__ = [
     "WalFloorRegressionError",
     "WalRecord",
     "WriteAheadLog",
-    "adopt_table_state",
     "load",
     "read_records",
     "recover",
     "save",
-    "table_from_bytes",
-    "table_to_bytes",
     "wal_floor",
 ]

@@ -28,10 +28,9 @@ rather than guessing.  See ``docs/PERSISTENCE.md`` for the layout.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import os
-from typing import IO, Dict, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -49,11 +48,8 @@ from repro.gpusim.device import Device, DeviceSpec
 
 __all__ = [
     "SNAPSHOT_VERSION",
-    "adopt_table_state",
     "load",
     "save",
-    "table_from_bytes",
-    "table_to_bytes",
     "wal_floor",
 ]
 
@@ -117,7 +113,7 @@ def _table_header(table: SlabHash, wal_min_batch_index: int) -> Dict[str, object
     }
 
 
-def _table_arrays(table: SlabHash, wal_min_batch_index: int) -> Dict[str, np.ndarray]:
+def _save_table(table: SlabHash, path: str, wal_min_batch_index: int = 0) -> None:
     addresses, words = table.alloc.export_units()
     arrays = {
         "header": np.array(json.dumps(_table_header(table, wal_min_batch_index)), dtype=np.str_),
@@ -130,32 +126,8 @@ def _table_arrays(table: SlabHash, wal_min_batch_index: int) -> Dict[str, np.nda
         # covers the new array's chained slabs, so only its bucket heads
         # need their own array.
         arrays["migration_base_slabs"] = table.migration.new_lists.base_slabs
-    return arrays
-
-
-def _save_table(table: SlabHash, path: str, wal_min_batch_index: int = 0) -> None:
     with open(path, "wb") as handle:
-        np.savez_compressed(handle, **_table_arrays(table, wal_min_batch_index))
-
-
-def table_to_bytes(table: SlabHash, *, wal_min_batch_index: int = 0) -> bytes:
-    """Serialize one table to snapshot bytes (the on-disk ``.npz`` format).
-
-    The in-memory counterpart of :func:`save` for a single
-    :class:`SlabHash`: the bytes are exactly what :func:`_save_table` would
-    write to disk, so :func:`table_from_bytes` restores a bit-identical
-    table.  This is the shard-handoff primitive of
-    :class:`repro.engine.parallel.ProcessShardExecutor` — shard state is
-    shipped to (and collected from) worker processes in this format.
-    """
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **_table_arrays(table, wal_min_batch_index))
-    return buffer.getvalue()
-
-
-def table_from_bytes(data: bytes) -> SlabHash:
-    """Restore a table from :func:`table_to_bytes` output (bit-identical)."""
-    return _load_table(io.BytesIO(data), where="<snapshot bytes>")
+        np.savez_compressed(handle, **arrays)
 
 
 def _check_header(header: Dict[str, object], kind: str, where: str) -> None:
@@ -170,10 +142,10 @@ def _check_header(header: Dict[str, object], kind: str, where: str) -> None:
         raise ValueError(f"{where} holds a {header.get('kind')!r}, expected {kind!r}")
 
 
-def _load_table(path: Union[str, IO[bytes]], where: str = "") -> SlabHash:
+def _load_table(path: str) -> SlabHash:
     with np.load(path, allow_pickle=False) as archive:
         header = json.loads(str(archive["header"][()]))
-        _check_header(header, "slab_hash", where or path)
+        _check_header(header, "slab_hash", path)
         base_slabs = archive["base_slabs"].astype(np.uint32)
         addresses = archive["alloc_addresses"]
         words = archive["alloc_words"]
@@ -243,41 +215,6 @@ def _load_table(path: Union[str, IO[bytes]], where: str = "") -> SlabHash:
     return table
 
 
-#: Everything that determines a table's behavior, moved whole by
-#: :func:`adopt_table_state`.  ``config`` rides along for completeness
-#: (key_value/unique_keys never change after construction), ``_bulk_exec``
-#: does not — it holds only a back-reference to the owning table.
-_ADOPTABLE_ATTRS = (
-    "device",
-    "config",
-    "alloc",
-    "lists",
-    "hash_fn",
-    "_warp_counter",
-    "backend",
-    "policy",
-    "resize_stats",
-    "migration",
-)
-
-
-def adopt_table_state(dst: SlabHash, src: SlabHash) -> SlabHash:
-    """Move ``src``'s entire state into ``dst`` **in place** and return ``dst``.
-
-    After adoption ``dst`` behaves bit-identically to ``src`` (same items,
-    chains, allocator occupancy, device counters, in-flight migration) while
-    keeping its object identity — so long-lived references to the table
-    (a service's per-shard list, an engine's ``shards`` entry) stay valid.
-    Used by the process executor to refresh the parent's shard mirror from
-    worker-collected snapshot bytes without invalidating those references.
-    ``src`` must not be used afterwards: the two tables would share live
-    stores.
-    """
-    for name in _ADOPTABLE_ATTRS:
-        setattr(dst, name, getattr(src, name))
-    return dst
-
-
 def _save_engine(engine: ShardedSlabHash, path: str, wal_min_batch_index: int = 0) -> None:
     os.makedirs(path, exist_ok=True)
     shard_files = [f"shard-{index:03d}.npz" for index in range(engine.num_shards)]
@@ -318,11 +255,6 @@ def _load_engine(path: str) -> ShardedSlabHash:
         router._hash.b = manifest["router"]["hash"]["b"]
     router._rr_cursor = manifest["router"]["rr_cursor"]
     engine.router = router
-    # Restored engines come back serial; ShardedSlabHash.attach_executor
-    # re-enables process execution.  Set the executor slots before the
-    # ``shards`` property setter reads them.
-    engine._executor = None
-    engine._stale = False
     engine.shards = shards
     engine.cost_model = CostModel(shards[0].device.spec)
     engine._ops_routed = np.array(manifest["ops_routed"], dtype=np.int64)

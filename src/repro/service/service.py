@@ -105,7 +105,7 @@ from repro.core import constants as C
 from repro.core.hashing import is_user_key
 from repro.core.slab_hash import SlabHash
 from repro.engine.sharded import ShardedSlabHash
-from repro.faults import FaultPlan, InjectedFault, WorkerCrashed
+from repro.faults import FaultPlan, InjectedFault
 from repro.gpusim.scheduler import WarpScheduler
 from repro.perf.latency import LatencyRecorder, LatencyReport
 from repro.perf.metrics import measure_phase
@@ -173,19 +173,6 @@ class ServiceConfig:
         trips open (quarantine + background restore).  A dirty *injected*
         failure — mid-execution, state suspect — trips immediately
         regardless.
-    executor:
-        ``None``/``"serial"`` (default) executes batches inline.
-        ``"process"`` requires a sharded engine and dispatches each lane's
-        cut batches to that shard's worker process
-        (:class:`~repro.engine.parallel.ProcessShardExecutor`) — results,
-        counters, and migration behavior are bit-identical to serial; a
-        worker death surfaces as :class:`~repro.faults.WorkerCrashed` and
-        takes the quarantine/restore path, re-shipping the rebuilt shard to
-        a fresh worker.  An engine that already carries a process executor
-        is used as-is.
-    executor_workers:
-        Worker-process count when this config attaches the executor
-        (default: one per shard).
     """
 
     max_batch_size: int = 1024
@@ -195,8 +182,6 @@ class ServiceConfig:
     measure_device_time: bool = True
     max_pending_per_shard: Optional[int] = None
     breaker_threshold: int = 3
-    executor: Optional[str] = None
-    executor_workers: Optional[int] = None
 
 
 class ShardLaneStatsDict(TypedDict):
@@ -441,7 +426,7 @@ class ServiceStats:
 class _StagedBatch:
     """A cut shard batch waiting for the next group commit."""
 
-    __slots__ = ("shard", "batch", "forced", "batch_index")
+    __slots__ = ("shard", "batch", "batch_index")
 
     def __init__(self, shard: int, batch: CutBatch) -> None:
         self.shard = shard
@@ -497,20 +482,6 @@ class SlabHashService:
         self.wal = wal
         self.faults = faults
         self._sharded = isinstance(engine, ShardedSlabHash)
-        if self.config.executor not in (None, "serial", "process"):
-            raise ValueError(
-                f"unknown executor {self.config.executor!r}; "
-                "expected None, 'serial', or 'process'"
-            )
-        if self.config.executor == "process":
-            if not self._sharded:
-                raise ValueError(
-                    "ServiceConfig(executor='process') needs a ShardedSlabHash "
-                    "engine; a single table has no shards to parallelize"
-                )
-            if engine.process_executor is None:
-                engine.attach_executor("process", self.config.executor_workers)
-        self._process_mode = self._sharded and engine.process_executor is not None
         self._shards: List[SlabHash] = list(engine.shards) if self._sharded else [engine]
         table_config = self._shards[0].config
         self._key_value = table_config.key_value
@@ -553,11 +524,6 @@ class SlabHashService:
                 table.alloc.faults = faults.scoped(f"shard:{index}.")
             if wal is not None and wal.faults is None:
                 wal.faults = faults
-            if self._process_mode:
-                # Arm the shard:<i>.worker dispatch sites.  Worker-internal
-                # sites (alloc, migration.step) cannot fire in process mode —
-                # the resident shards do not carry the plan; see docs/API.md.
-                self.engine.process_executor.faults = faults
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -929,8 +895,8 @@ class SlabHashService:
         for entry in staged:
             self._execute(entry)
 
-    def _seed_for(self, shard: int, batch_index: int) -> Optional[int]:
-        """Scheduler seed for one batch, or ``None`` for the phased schedule.
+    def _scheduler_for(self, shard: int, batch_index: int) -> Optional[WarpScheduler]:
+        """Scheduler for one batch, or ``None`` for the phased schedule.
 
         Mirrors recovery replay exactly: ShardedSlabHash.concurrent_batch
         seeds shard ``s`` with (seed + batch_index) + s; a single table is
@@ -939,11 +905,7 @@ class SlabHashService:
         seed = self.config.scheduler_seed
         if seed is None:
             return None
-        return seed + batch_index + (shard if self._sharded else 0)
-
-    def _scheduler_for(self, shard: int, batch_index: int) -> Optional[WarpScheduler]:
-        seed = self._seed_for(shard, batch_index)
-        return None if seed is None else WarpScheduler(seed=seed)
+        return WarpScheduler(seed=seed + batch_index + (shard if self._sharded else 0))
 
     def _execute(self, entry: _StagedBatch) -> None:
         batch = entry.batch
@@ -961,20 +923,6 @@ class SlabHashService:
                 return
 
         def run() -> None:
-            if self._process_mode:
-                # Dispatch to the shard's worker process.  The reply mirrors
-                # the worker's device counters onto ``table.device``, so the
-                # surrounding measure_phase sees serial-identical deltas; a
-                # dead worker raises WorkerCrashed (injected + dirty below).
-                holder["results"] = self.engine.execute_shard_batch(
-                    entry.shard,
-                    batch.op_codes,
-                    batch.keys,
-                    batch.values,
-                    scheduler_seed=self._seed_for(entry.shard, entry.batch_index),
-                    wave_size=self.config.wave_size,
-                )
-                return
             holder["results"] = table.concurrent_batch(
                 batch.op_codes,
                 batch.keys,
@@ -1158,10 +1106,7 @@ class SlabHashService:
         )
         if self._sharded:
             fresh = engine.shards[shard]
-            # install_shard swaps the engine's entry and, in process mode,
-            # ships the rebuilt shard to its worker (respawning it if the
-            # trip was a WorkerCrashed that killed it).
-            self.engine.install_shard(shard, fresh)
+            self.engine.shards[shard] = fresh
         else:
             fresh = engine
             self.engine = engine
@@ -1191,21 +1136,11 @@ class SlabHashService:
         """
         try:
             if self._sharded:
-                # Engine hook so process mode pumps inside the shard's worker;
-                # serial mode this is exactly self._shards[shard].maybe_resize().
+                # Through the engine hook (exactly this shard's
+                # maybe_resize()) so tracers that patch the engine see it.
                 results = self.engine.maybe_resize_shard(shard)
             else:
                 results = self._shards[shard].maybe_resize()
-        except WorkerCrashed as exc:
-            # Worker death discovered in the between-batch pump is NOT a
-            # benign migration failure: the shard's resident state — with
-            # this lane's just-acked batches applied — died with the worker,
-            # and serving on would silently respawn from a stale mirror.
-            # Trip the lane so the quarantine restore rebuilds the shard
-            # from checkpoint + WAL tail and re-ships it to a fresh worker.
-            self._consecutive_failures[shard] += 1
-            self._trip(shard, exc)
-            return
         except Exception as exc:  # noqa: BLE001 - the table is intact; keep serving
             self._resize_failure_log.append(
                 f"after batch {batch_index}: {type(exc).__name__}: {exc}"
@@ -1344,10 +1279,6 @@ class SlabHashService:
         wall = 0.0
         if self._first_enqueue is not None and self._last_completion is not None:
             wall = max(0.0, self._last_completion - self._first_enqueue)
-        if self._process_mode:
-            # Barrier: refresh the parent mirror so the migration sums below
-            # read worker-side resize_stats, not a stale pre-dispatch copy.
-            _ = self.engine.shards
         lanes = tuple(
             ShardLaneStats(
                 shard=shard,

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import SlabAllocConfig
 from repro.core.resize import LoadFactorPolicy
-from repro.engine import ShardedSlabHash
+from repro.engine import MigrationInFlightError, ShardedSlabHash
 
 from tests.conftest import make_keys
 
@@ -224,3 +224,140 @@ class TestEnginePolicy:
         for shard in engine.shards:
             eps = shard.config.elements_per_slab
             assert policy.decide(len(shard), shard.num_buckets, eps) is None
+
+
+class TestRebalanceMigrationBugfix:
+    """Regression: rebalance vs in-flight incremental migrations."""
+
+    def test_rebalance_pumps_migration_to_completion_and_matches_dict_model(self):
+        policy = LoadFactorPolicy(min_buckets=2)
+        eng = ShardedSlabHash(
+            2, 24, seed=31, alloc_config=ALLOC, load_factor_policy=policy
+        )
+        keys = make_keys(400, seed=31)
+        model = {}
+        eng.bulk_insert(keys, keys)
+        for key in keys:
+            model[int(key)] = int(key)
+        eng.resize_shard(0, 96, incremental=True, step_buckets=2)
+        assert eng.migrating_shards() == [0]
+        results = eng.rebalance()
+        # The in-flight migration was pumped to completion — never rebuilt
+        # from a half-migrated bucket view — and the shard then retargeted.
+        assert eng.migrating_shards() == []
+        assert any(r.trigger in ("manual", "rebalance") for r in results)
+        assert sorted(eng.items()) == sorted(model.items())
+        found = eng.bulk_search(keys)
+        assert np.array_equal(found.astype(np.uint64), keys.astype(np.uint64))
+
+    def test_rebalance_on_migrating_error_refuses_without_touching_state(self):
+        policy = LoadFactorPolicy(min_buckets=2)
+        eng = ShardedSlabHash(
+            2, 24, seed=33, alloc_config=ALLOC, load_factor_policy=policy
+        )
+        keys = make_keys(300, seed=33)
+        eng.bulk_insert(keys, keys)
+        eng.resize_shard(1, 96, incremental=True, step_buckets=2)
+        watermark = eng.shards[1].migration.watermark
+        with pytest.raises(MigrationInFlightError) as excinfo:
+            eng.rebalance(on_migrating="error")
+        assert excinfo.value.shards == [1]
+        # Refused up front: the migration is still in flight, unadvanced.
+        assert eng.migrating_shards() == [1]
+        assert eng.shards[1].migration.watermark == watermark
+
+    def test_rebalance_on_migrating_is_validated(self):
+        eng = ShardedSlabHash(2, 24, alloc_config=ALLOC)
+        with pytest.raises(ValueError, match="on_migrating"):
+            eng.rebalance(LoadFactorPolicy(min_buckets=2), on_migrating="skip")
+
+
+def engine_state(engine):
+    return (
+        engine.items(),
+        [shard.num_buckets for shard in engine.shards],
+        [shard.alloc.allocated_units for shard in engine.shards],
+        [device.counters.as_dict() for device in engine.devices],
+    )
+
+
+class TestIncrementalShardMigration:
+    """Per-shard incremental migrations driven through the engine API."""
+
+    def begin(self, seed=7):
+        engine = ShardedSlabHash(2, 48, seed=seed, alloc_config=ALLOC, backend="vectorized")
+        keys = make_keys(400, seed=seed)
+        engine.bulk_insert(keys, keys)
+        assert engine.resize_shard(1, 96, incremental=True, step_buckets=4) is None
+        return engine, keys
+
+    def test_steps_advance_to_completion_and_match_dict_model(self):
+        engine, keys = self.begin()
+        assert engine.migrating_shards() == [1]
+        shard_items = len(engine.shards[1])
+        watermark, moved, steps = 0, 0, []
+        while engine.migrating_shards():
+            step = engine.migrate_step_shard(1)
+            assert step.buckets_moved <= 4
+            assert step.watermark >= watermark
+            watermark = step.watermark
+            moved += step.items_moved
+            steps.append(step)
+        assert [step.done for step in steps] == [False] * (len(steps) - 1) + [True]
+        assert steps[-1].result is not None
+        assert moved == shard_items
+        assert [shard.num_buckets for shard in engine.shards] == [48, 96]
+        assert sorted(engine.items()) == sorted((int(k), int(k)) for k in keys)
+        assert np.array_equal(engine.bulk_search(keys), keys)
+
+    def test_step_sequence_is_bit_identical_across_twins(self):
+        first, _ = self.begin(seed=9)
+        second, _ = self.begin(seed=9)
+        while first.migrating_shards():
+            a = first.migrate_step_shard(1)
+            b = second.migrate_step_shard(1)
+            assert (a.buckets_moved, a.items_moved, a.watermark, a.done) == (
+                b.buckets_moved,
+                b.items_moved,
+                b.watermark,
+                b.done,
+            )
+        assert second.migrating_shards() == []
+        assert engine_state(first) == engine_state(second)
+
+    def test_migrate_step_shard_index_is_validated(self):
+        engine, _ = self.begin()
+        for shard in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                engine.migrate_step_shard(shard)
+            with pytest.raises(ValueError, match="out of range"):
+                engine.maybe_resize_shard(shard)
+
+    def test_maybe_resize_shard_pumps_only_that_shard(self):
+        engine, keys = self.begin()
+        engine.resize_shard(0, 96, incremental=True, step_buckets=4)
+        untouched = engine.shards[0].migration.watermark
+        while 1 in engine.migrating_shards():
+            engine.maybe_resize_shard(1)
+        assert engine.migrating_shards() == [0]
+        assert engine.shards[0].migration.watermark == untouched
+        assert np.array_equal(engine.bulk_search(keys), keys)
+
+    def test_policy_pump_and_rebalance_are_bit_identical_across_twins(self):
+        policy = LoadFactorPolicy(min_buckets=2).deferred()
+        keys = make_keys(500, seed=9)
+        twins, performed = [], []
+        for _ in range(2):
+            engine = ShardedSlabHash(
+                2, 8, seed=29, alloc_config=ALLOC, backend="vectorized",
+                load_factor_policy=policy,
+            )
+            engine.bulk_insert(keys, keys)
+            engine.maybe_resize()
+            performed.append(
+                [(r.old_buckets, r.new_buckets) for r in engine.rebalance()]
+            )
+            twins.append(engine)
+        assert performed[0] == performed[1]
+        assert engine_state(twins[0]) == engine_state(twins[1])
+        assert sorted(twins[0].items()) == sorted((int(k), int(k)) for k in keys)

@@ -215,3 +215,125 @@ class TestMeasurement:
         )
         assert stats.num_ops == 12800
         assert sum(p.num_ops for p in stats.shards) == pytest.approx(12800, abs=4)
+
+
+def assert_same_state(first, second):
+    """Items, per-shard layout, allocator occupancy and counters all match."""
+    assert first.items() == second.items()
+    assert first.shard_sizes().tolist() == second.shard_sizes().tolist()
+    for a, b in zip(first.shards, second.shards):
+        assert a.num_buckets == b.num_buckets
+        assert a.alloc.allocated_units == b.alloc.allocated_units
+        assert a.device.counters.as_dict() == b.device.counters.as_dict()
+
+
+class TestSerialDeterminism:
+    """Every shard runs in the calling thread, in shard order, so two
+    identically constructed engines fed the same calls stay bit-identical."""
+
+    def make_twins(self):
+        return [make_engine(2, buckets=24, seed=29, backend="vectorized") for _ in range(2)]
+
+    def test_bulk_ops_are_bit_identical_across_twins(self):
+        keys = make_keys(600, seed=1)
+        values = (keys * np.uint32(7)) & np.uint32(0xFFFF)
+        misses = missing_queries(100, seed=2)
+        outputs = []
+        for engine in self.make_twins():
+            engine.bulk_insert(keys, values)
+            outputs.append(
+                (
+                    engine.bulk_search(keys),
+                    engine.bulk_delete(keys[:150]),
+                    engine.bulk_search(misses),
+                    engine,
+                )
+            )
+        (found, deleted, missed, first), (found2, deleted2, missed2, second) = outputs
+        assert np.array_equal(found, values)
+        assert np.array_equal(found, found2)
+        assert np.array_equal(deleted, deleted2)
+        assert np.array_equal(missed, missed2)
+        assert np.all(missed == C.SEARCH_NOT_FOUND)
+        assert len(first) == 450
+        assert_same_state(first, second)
+
+    def test_concurrent_batch_is_bit_identical_under_one_scheduler_seed(self):
+        keys = make_keys(512, seed=3)
+        values = keys & np.uint32(0xFFF)
+        op_codes = np.concatenate(
+            [
+                np.full(256, C.OP_INSERT),
+                np.full(128, C.OP_SEARCH),
+                np.full(128, C.OP_DELETE),
+            ]
+        )
+        stream = np.concatenate([keys[:256], keys[:128], keys[64:192]])
+        stream_values = np.concatenate([values[:256], values[:128], values[64:192]])
+        first, second = self.make_twins()
+        out_first = first.concurrent_batch(
+            op_codes, stream, stream_values, scheduler_seed=77, wave_size=64
+        )
+        out_second = second.concurrent_batch(
+            op_codes, stream, stream_values, scheduler_seed=77, wave_size=64
+        )
+        assert np.array_equal(out_first, out_second)
+        assert_same_state(first, second)
+
+    def test_single_ops_agree_with_bulk_ops(self):
+        keys = make_keys(64, seed=5)
+        values = keys % np.uint32(500) + np.uint32(1)
+        singles, bulk = self.make_twins()
+        for key, value in zip(keys, values):
+            singles.insert(int(key), int(value))
+        bulk.bulk_insert(keys, values)
+        assert set(singles.items()) == set(bulk.items())
+        assert np.array_equal(singles.shard_sizes(), bulk.shard_sizes())
+        found = bulk.bulk_search(keys[:16])
+        assert [singles.search(int(key)) for key in keys[:16]] == found.tolist()
+        assert singles.delete(int(keys[0])) == bool(bulk.bulk_delete(keys[:1])[0])
+        assert int(keys[0]) not in singles
+        assert len(singles) == len(bulk) == 63
+
+    def test_size_accessors_sum_over_shards(self):
+        engine = make_engine(3, buckets=8, seed=4)
+        keys = make_keys(300, seed=8)
+        engine.bulk_insert(keys, values_for_keys(keys))
+        sizes = engine.shard_sizes()
+        assert int(sizes.sum()) == len(engine) == 300
+        assert sizes.tolist() == [len(shard) for shard in engine.shards]
+        assert engine.used_bytes() == sum(shard.used_bytes() for shard in engine.shards)
+        assert engine.num_buckets == sum(shard.num_buckets for shard in engine.shards)
+        element_bytes = engine.shards[0].config.element_bytes
+        assert engine.memory_utilization() == pytest.approx(
+            300 * element_bytes / engine.used_bytes()
+        )
+
+
+class TestShardList:
+    def test_replacing_a_shard_takes_effect(self, tmp_path):
+        """``shards`` is a plain list: assigning a restored table to one slot
+        (what the service's quarantine restore does) is all it takes."""
+        from repro.persist import load, save
+
+        engine = make_engine(2, buckets=16, seed=12)
+        keys = make_keys(200, seed=12)
+        engine.bulk_insert(keys, values_for_keys(keys))
+        path = save(engine.shards[1], str(tmp_path / "shard1.npz"))
+        later = missing_queries(50, seed=13)
+        engine.bulk_insert(later, values_for_keys(later))
+        owner = engine.router.route(later)
+
+        restored = load(path)
+        engine.shards[1] = restored
+        assert engine.devices[1] is restored.device
+        assert len(engine) == int(engine.shard_sizes().sum())
+        found = engine.bulk_search(later)
+        assert np.all(found[owner == 1] == C.SEARCH_NOT_FOUND)
+        assert np.array_equal(found[owner == 0], values_for_keys(later)[owner == 0])
+        assert np.array_equal(engine.bulk_search(keys), values_for_keys(keys))
+
+    @pytest.mark.parametrize("knob", [{"executor": "process"}, {"executor_workers": 2}])
+    def test_there_is_no_executor_knob(self, knob):
+        with pytest.raises(TypeError):
+            ShardedSlabHash(2, 8, **knob)

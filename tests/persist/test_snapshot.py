@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SlabAllocConfig
+from repro.core.constants import SEARCH_NOT_FOUND
 from repro.core.resize import LoadFactorPolicy
 from repro.core.slab_hash import SlabHash
 from repro.engine import ShardedSlabHash
@@ -197,6 +198,68 @@ class TestEngineRoundTrip:
         assert len(manifest["shards"]) == 2
         for name in manifest["shards"]:
             assert os.path.exists(os.path.join(path, name))
+
+    def test_identical_engines_write_identical_bytes(self, tmp_path):
+        keys = make_keys(400, seed=43)
+        paths = []
+        for name in ("first", "second"):
+            engine = ShardedSlabHash(3, 8, alloc_config=SMALL_ALLOC, seed=43)
+            engine.bulk_build(keys, keys)
+            engine.bulk_delete(keys[:50])
+            paths.append(save(engine, str(tmp_path / name)))
+        names = sorted(os.listdir(paths[0]))
+        assert names == sorted(os.listdir(paths[1]))
+        for name in names:
+            with open(os.path.join(paths[0], name), "rb") as a, open(
+                os.path.join(paths[1], name), "rb"
+            ) as b:
+                assert a.read() == b.read(), name
+
+    def test_engine_saved_mid_migration_round_trips(self, tmp_path):
+        engine = ShardedSlabHash(
+            2, 24, alloc_config=SMALL_ALLOC, seed=47, backend="vectorized"
+        )
+        keys = make_keys(300, seed=47)
+        engine.bulk_insert(keys, keys)
+        engine.resize_shard(1, 48, incremental=True, step_buckets=4)
+        engine.migrate_step_shard(1)
+        restored = load(save(engine, str(tmp_path / "engine-snapshot")))
+        assert restored.migrating_shards() == [1]
+        assert (
+            restored.shards[1].migration.watermark
+            == engine.shards[1].migration.watermark
+        )
+        assert_bit_identical(engine, restored)
+        # Both finish the migration step for step, then agree bit for bit.
+        while engine.migrating_shards():
+            a = engine.migrate_step_shard(1)
+            b = restored.migrate_step_shard(1)
+            assert (a.buckets_moved, a.items_moved, a.watermark) == (
+                b.buckets_moved,
+                b.items_moved,
+                b.watermark,
+            )
+        assert restored.migrating_shards() == []
+        assert_bit_identical(engine, restored)
+        assert np.array_equal(restored.bulk_search(keys), keys)
+
+    def test_loaded_shard_snapshot_restores_one_slot(self, tmp_path):
+        """An engine snapshot's shard ``i`` can replace shard ``i`` of a live
+        engine, leaving every other shard untouched."""
+        engine = ShardedSlabHash(2, 16, alloc_config=SMALL_ALLOC, seed=53)
+        keys = make_keys(300, seed=53)
+        engine.bulk_build(keys, keys)
+        snapshot = load(save(engine, str(tmp_path / "engine-snapshot")))
+        engine.bulk_delete(keys)
+        assert len(engine) == 0
+        engine.shards[0] = snapshot.shards[0]
+        assert engine.devices[0] is snapshot.shards[0].device
+        assert len(engine.shards[1]) == 0
+        assert len(engine) == len(snapshot.shards[0])
+        owner = engine.router.route(keys)
+        found = engine.bulk_search(keys)
+        assert np.array_equal(found[owner == 0], keys[owner == 0])
+        assert np.all(found[owner == 1] == SEARCH_NOT_FOUND)
 
 
 class TestFormatGuards:

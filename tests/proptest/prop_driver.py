@@ -71,20 +71,14 @@ Step = Tuple
 Program = List[Step]
 
 
-def make_impls(*, include_process: bool = False) -> Dict[str, object]:
+def make_impls() -> Dict[str, object]:
     """Fresh, identically seeded implementations for one program run.
 
     Every table starts at the policy's bucket floor, so the quiescence
     invariant holds from step zero (an empty table above the floor would
     legitimately want to shrink before any operation ran).
-
-    ``include_process`` adds a fourth implementation: the same two-shard
-    engine dispatching through :class:`~repro.engine.ProcessShardExecutor`
-    with two worker processes.  It must be bit-identical to the serial
-    sharded engine on every step — results, counters, and (checked at end
-    of program) the serialized per-shard snapshot bytes.
     """
-    impls: Dict[str, object] = {
+    return {
         "reference": SlabHash(
             POLICY.min_buckets, alloc_config=ALLOC, seed=41, backend="reference",
             policy=POLICY,
@@ -98,12 +92,6 @@ def make_impls(*, include_process: bool = False) -> Dict[str, object]:
             load_factor_policy=POLICY,
         ),
     }
-    if include_process:
-        impls["process"] = ShardedSlabHash(
-            2, POLICY.min_buckets, alloc_config=ALLOC, seed=41, backend="vectorized",
-            load_factor_policy=POLICY, executor="process", executor_workers=2,
-        )
-    return impls
 
 
 # --------------------------------------------------------------------------- #
@@ -322,11 +310,6 @@ def _scaled_target(buckets: int, factor: int, direction: str) -> int:
 def _drain_migration(impl) -> None:
     """Run any in-flight migration to completion (stop-the-world resize
     requires a quiescent table, and the drain itself is deterministic).
-
-    Sharded engines go through the engine API rather than poking the
-    shard tables directly: with a process executor attached the tables
-    are a mirror of worker-resident state, and direct mutation would
-    silently diverge from the workers.
     """
     if isinstance(impl, ShardedSlabHash):
         while True:
@@ -503,39 +486,6 @@ def _check_backend_counters(impls) -> Optional[str]:
             if ref[field] != vec[field]
         }
         return f"reference/vectorized counter drift: {drift}"
-    if "process" in impls:
-        serial = [d.counters.as_dict() for d in impls["sharded"].devices]
-        proc = [d.counters.as_dict() for d in impls["process"].devices]
-        if serial != proc:
-            drift = [
-                {f: (s[f], p[f]) for f in s if s[f] != p[f]}
-                for s, p in zip(serial, proc)
-            ]
-            return f"sharded/process per-shard counter drift: {drift}"
-    return None
-
-
-def _check_process_snapshot_identity(impls) -> Optional[str]:
-    """The process engine's per-shard snapshot bytes equal the serial
-    engine's exactly — and round-trip through load — so the post-recovery
-    state of the two is bit-identical."""
-    if "process" not in impls:
-        return None
-    from repro.persist import table_from_bytes, table_to_bytes
-
-    for index, (serial, proc) in enumerate(
-        zip(impls["sharded"].shards, impls["process"].shards)
-    ):
-        serial_bytes = table_to_bytes(serial)
-        proc_bytes = table_to_bytes(proc)
-        if serial_bytes != proc_bytes:
-            return (
-                f"shard {index}: process-engine snapshot bytes differ from "
-                "the serial engine's (post-recovery state would diverge)"
-            )
-        restored = table_from_bytes(proc_bytes)
-        if sorted(restored.items()) != sorted(proc.items()):
-            return f"shard {index}: snapshot round-trip lost items"
     return None
 
 
@@ -624,29 +574,9 @@ def _check_policy_band(impls) -> Optional[str]:
 HEAVY_EVERY = 4  #: run the structure-heavy invariants every N steps
 
 
-def run_program(
-    program: Program,
-    *,
-    check_coverage: bool = False,
-    include_process: bool = False,
-) -> Optional[str]:
-    """Execute a program; return an error description, or ``None`` if clean.
-
-    ``include_process`` adds the process-executor engine to the comparison
-    set (see :func:`make_impls`); its workers are torn down before
-    returning, whatever the outcome.
-    """
-    impls = make_impls(include_process=include_process)
-    try:
-        return _run_program(program, impls, check_coverage=check_coverage)
-    finally:
-        for impl in impls.values():
-            close = getattr(impl, "close", None)
-            if close is not None:
-                close()
-
-
-def _run_program(program: Program, impls, *, check_coverage: bool) -> Optional[str]:
+def run_program(program: Program, *, check_coverage: bool = False) -> Optional[str]:
+    """Execute a program; return an error description, or ``None`` if clean."""
+    impls = make_impls()
     model: dict = {}
     previous = {
         name: [device.counters.as_dict() for device in _devices(name, impl)]
@@ -683,7 +613,6 @@ def _run_program(program: Program, impls, *, check_coverage: bool) -> Optional[s
         or _check_chains(impls)
         or _check_search_all(impls, model, check_rng)
         or _check_policy_band(impls)
-        or _check_process_snapshot_identity(impls)
     )
     if error:
         return f"end of program: {error}"

@@ -40,12 +40,8 @@ def _seeds() -> list:
 
 @pytest.mark.parametrize("seed", _seeds())
 def test_random_program_is_equivalent_across_implementations(seed):
-    """Every pinned-seed program also runs under ``executor="process"``
-    with two workers: results, per-shard counters, and end-of-program
-    snapshot bytes must be bit-identical to the serial sharded engine
-    (the shrinker re-runs serial-only for speed)."""
     program = generate_program(seed)
-    error = run_program(program, check_coverage=True, include_process=True)
+    error = run_program(program, check_coverage=True)
     if error is not None:
         minimal = shrink_program(program)
         pytest.fail(

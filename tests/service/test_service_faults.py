@@ -11,6 +11,8 @@ wall-clock randomness.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import math
 import random
 import time
 
@@ -19,9 +21,11 @@ import pytest
 
 from repro.core import constants as C
 from repro.core.config import SlabAllocConfig
+from repro.core.resize import LoadFactorPolicy
 from repro.core.slab_hash import SlabHash
 from repro.engine.sharded import ShardedSlabHash
 from repro.faults import FaultAction, FaultPlan, InjectedBatchFailure
+from repro.perf.latency import LatencyReport
 from repro.persist.wal import WriteAheadLog
 from repro.service import (
     LANE_CLOSED,
@@ -36,6 +40,7 @@ from repro.service import (
     WalCommitFailed,
     retry_with_backoff,
 )
+from repro.service.service import ServiceStats, ShardLaneStats
 
 SMALL_ALLOC = SlabAllocConfig(num_super_blocks=2, num_memory_blocks=8, units_per_block=64)
 FAST = ServiceConfig(max_batch_size=128, max_delay=0.0005)
@@ -548,5 +553,321 @@ class TestStatsRoundTrips:
                 assert stats.shard_restores >= 1
                 assert all(state != LANE_OPEN for state in service.lane_states)
             wal.close()
+
+        asyncio.run(asyncio.wait_for(main(), timeout=30))
+
+
+class TestStatsFractionClamps:
+    def test_zero_batch_lane_stats_are_finite(self):
+        lane = ShardLaneStats(
+            shard=0, ops_enqueued=0, batches_cut=0, aligned_batches=0,
+            forced_batches=0, forced_aligned_batches=0, modelled_seconds=0.0,
+        )
+        assert lane.deadline_forced_fraction == 0.0
+        assert lane.warp_aligned_fraction == 0.0
+        document = lane.as_dict()
+        assert math.isfinite(document["deadline_forced_fraction"])
+        assert math.isfinite(document["warp_aligned_fraction"])
+
+    def test_all_quarantined_service_stats_are_finite(self):
+        """Every lane open from the start: zero batches cut anywhere, and
+        every fraction in stats()/as_dict() must still be finite."""
+
+        async def main():
+            async with SlabHashService(
+                make_engine(backend="vectorized"),
+                config=ServiceConfig(max_batch_size=64, max_delay=0.0005),
+            ) as service:
+                for shard in range(service.engine.num_shards):
+                    service._lane_state[shard] = LANE_OPEN
+                stats = service.stats()
+                assert stats.batches_executed == 0
+                assert stats.deadline_forced_fraction == 0.0
+                assert stats.warp_aligned_fraction == 0.0
+                document = stats.as_dict()
+                assert math.isfinite(document["deadline_forced_fraction"])
+                assert math.isfinite(document["warp_aligned_fraction"])
+                for lane in stats.per_shard:
+                    assert lane.deadline_forced_fraction == 0.0
+                    assert lane.warp_aligned_fraction == 0.0
+                for shard in range(service.engine.num_shards):
+                    service._lane_state[shard] = LANE_CLOSED
+
+        asyncio.run(asyncio.wait_for(main(), timeout=30))
+
+    def test_service_stats_fractions_clamp_directly(self):
+        stats = ServiceStats(
+            ops_enqueued=0, ops_completed=0, ops_failed=0, batches_executed=0,
+            warp_aligned_batches=0, deadline_forced_batches=0,
+            mean_batch_size=0.0, latency=LatencyReport.from_samples([]),
+            wall_seconds=0.0, ops_per_second=0.0, modelled_seconds=0.0,
+            modelled_ops_per_second=0.0,
+        )
+        assert stats.deadline_forced_fraction == 0.0
+        assert stats.warp_aligned_fraction == 0.0
+        assert math.isfinite(stats.as_dict()["deadline_forced_fraction"])
+
+
+def engine_state(engine: ShardedSlabHash):
+    return (
+        sorted(engine.items()),
+        [shard.num_buckets for shard in engine.shards],
+        [device.counters.as_dict() for device in engine.devices],
+    )
+
+
+#: Incremental + deferred: the drain loop pumps bounded migration steps
+#: between a shard's batches, starting from a tiny array so it must grow.
+PUMP_POLICY = LoadFactorPolicy(
+    min_buckets=2, incremental=True, migration_step_buckets=2
+).deferred()
+
+
+class TestSerialExecution:
+    """The service runs every staged batch on the engine's in-process shards."""
+
+    def test_identical_runs_are_bit_identical(self, tmp_path):
+        """Same traffic and config twice: same replies, stats and shard state."""
+
+        async def run(wal_path):
+            engine = ShardedSlabHash(
+                4, 64, seed=5, backend="vectorized",
+                load_factor_policy=LoadFactorPolicy(min_buckets=2),
+            )
+            # max_delay=0: batch cuts depend only on the op stream.
+            config = ServiceConfig(max_delay=0.0, scheduler_seed=17, wave_size=64)
+            wal = WriteAheadLog(str(wal_path))
+            try:
+                async with SlabHashService(engine, config=config, wal=wal) as service:
+                    rng = np.random.default_rng(3)
+                    keys = rng.choice(2**31, size=2000, replace=False)
+                    await service.submit_many(
+                        np.full(1000, C.OP_INSERT, dtype=np.int64),
+                        keys[:1000],
+                        (keys[:1000] % 1000 + 1).astype(np.uint32),
+                    )
+                    found = await service.submit_many(
+                        np.full(400, C.OP_SEARCH, dtype=np.int64), keys[:400]
+                    )
+                    await service.submit_many(
+                        np.full(150, C.OP_DELETE, dtype=np.int64), keys[:150]
+                    )
+                    stats = service.stats()
+                    return {
+                        "found": found.tolist(),
+                        "expected": (keys[:400] % 1000 + 1).tolist(),
+                        "ops": (stats.ops_completed, stats.ops_failed),
+                        "batches": stats.batches_executed,
+                        "modelled_seconds": stats.modelled_seconds,
+                        "migration": (
+                            stats.migration_steps,
+                            stats.migration_buckets_moved,
+                            stats.migration_items_moved,
+                        ),
+                        "state": engine_state(engine),
+                    }
+            finally:
+                wal.close()
+
+        async def main():
+            first = await run(tmp_path / "first.wal")
+            second = await run(tmp_path / "second.wal")
+            assert first == second
+            assert first["found"] == first["expected"]
+            assert first["ops"] == (1550, 0)
+            assert len(first["state"][0]) == 850
+
+        asyncio.run(asyncio.wait_for(main(), timeout=60))
+
+    def test_restore_swaps_the_engine_shard_in_place(self, tmp_path):
+        """A checkpoint restore rebuilds shard 1 and writes it straight into
+        ``engine.shards``; the other shards keep their table objects."""
+
+        async def main():
+            plan = FaultPlan({("shard:1.execute", 10): FaultAction(exc="batch")})
+            wal = WriteAheadLog(str(tmp_path / "svc.wal"))
+            config = ServiceConfig(max_batch_size=128, max_delay=0.0005, breaker_threshold=1)
+            engine = make_engine()
+            service = SlabHashService(engine, config=config, wal=wal, faults=plan)
+            before = list(engine.shards)
+            model = {}
+            async with service:
+                pre = np.arange(1, 60, dtype=np.uint64)
+                await service.submit_many(
+                    np.full(len(pre), C.OP_INSERT, dtype=np.int64),
+                    pre,
+                    (pre * 2).astype(np.uint32),
+                )
+                model.update((int(key), int(key) * 2) for key in pre)
+                service.checkpoint(str(tmp_path / "svc.snap"))
+                for key in range(60, 240):
+                    try:
+                        await service.insert(key, key * 2)
+                        model[key] = key * 2
+                    except (InjectedBatchFailure, ShardQuarantined):
+                        pass
+                await settle(service)
+                assert service.stats().shard_restores >= 1
+                assert engine.shards[1] is not before[1]
+                assert engine.shards[0] is before[0]
+                assert engine.shards[2] is before[2]
+                assert engine.devices[1] is engine.shards[1].device
+                # The rebuilt shard answers to the same fault plan.
+                assert engine.shards[1].alloc.faults is not None
+                assert sorted(engine.items()) == sorted(model.items())
+                for key, value in model.items():
+                    assert await service.search(key) == value, key
+            wal.close()
+
+        asyncio.run(asyncio.wait_for(main(), timeout=30))
+
+    def test_soft_restore_keeps_the_shard_object(self):
+        """Without a checkpoint a trip only cools the lane down: the shard
+        table is left in place and the lane serves again."""
+
+        async def main():
+            plan = FaultPlan({("shard:0.execute", 2): FaultAction(exc="batch")})
+            config = ServiceConfig(max_batch_size=32, max_delay=0.0005, breaker_threshold=1)
+            engine = make_engine()
+            before = list(engine.shards)
+            service = SlabHashService(engine, config=config, faults=plan)
+            async with service:
+                for key in range(1, 120):
+                    try:
+                        await service.insert(key, key + 1)
+                    except (InjectedBatchFailure, ShardQuarantined):
+                        pass
+                await settle(service)
+                stats = service.stats()
+                assert stats.breaker_trips >= 1
+                assert stats.shard_restores >= 1
+                assert engine.shards == before
+                await service.insert(500, 501)
+                assert await service.search(500) == 501
+
+        asyncio.run(asyncio.wait_for(main(), timeout=30))
+
+    def test_failed_pump_step_is_logged_not_tripped(self):
+        """A migration step that fails between batches leaves the table
+        intact: it lands in ``resize_failures``, the breaker stays closed,
+        and every acked op is still there."""
+
+        async def main():
+            plan = FaultPlan(
+                {("shard:0.migration.step", 0): FaultAction(exc="migration")}
+            )
+            config = ServiceConfig(max_batch_size=64, max_delay=0.0005, breaker_threshold=1)
+            engine = make_engine(load_factor_policy=PUMP_POLICY)
+            service = SlabHashService(engine, config=config, faults=plan)
+            model = {}
+            async with service:
+                for start in range(1, 900, 60):
+                    keys = np.arange(start, start + 60, dtype=np.uint64)
+                    await service.submit_many(
+                        np.full(len(keys), C.OP_INSERT, dtype=np.int64),
+                        keys,
+                        (keys + 3).astype(np.uint32),
+                    )
+                    model.update((int(key), int(key) + 3) for key in keys)
+                await settle(service)
+                stats = service.stats()
+                assert ("shard:0.migration.step", 0) in plan.fired_sites()
+                assert any(
+                    "InjectedMigrationFailure" in entry for entry in stats.resize_failures
+                )
+                assert stats.breaker_trips == 0
+                assert stats.ops_failed == 0
+                assert all(state == LANE_CLOSED for state in service.lane_states)
+                assert stats.migration_steps > 0
+                assert sorted(engine.items()) == sorted(model.items())
+
+        asyncio.run(asyncio.wait_for(main(), timeout=30))
+
+    def test_later_pumps_finish_a_migration_after_a_failed_step(self):
+        """The failed step is a no-op, so the next batches' pumps resume the
+        same migration and drive it to completion."""
+
+        async def main():
+            plan = FaultPlan(
+                {("shard:2.migration.step", 1): FaultAction(exc="migration")}
+            )
+            config = ServiceConfig(max_batch_size=64, max_delay=0.0005)
+            engine = ShardedSlabHash(
+                3, 2, alloc_config=SMALL_ALLOC, seed=5, load_factor_policy=PUMP_POLICY
+            )
+            service = SlabHashService(engine, config=config, faults=plan)
+            async with service:
+                keys = np.arange(1, 601, dtype=np.uint64)
+                for chunk in np.array_split(keys, 10):
+                    await service.submit_many(
+                        np.full(len(chunk), C.OP_INSERT, dtype=np.int64), chunk, chunk
+                    )
+                assert ("shard:2.migration.step", 1) in plan.fired_sites()
+                # Keep searching until every shard's pumps have settled.
+                for _ in range(200):
+                    if not engine.migrating_shards():
+                        break
+                    await service.submit_many(
+                        np.full(len(keys), C.OP_SEARCH, dtype=np.int64), keys
+                    )
+                assert engine.migrating_shards() == []
+                assert engine.shards[2].num_buckets > 2
+                assert engine.shards[2].resize_stats.grows >= 1
+                found = await service.submit_many(
+                    np.full(len(keys), C.OP_SEARCH, dtype=np.int64), keys
+                )
+                assert np.array_equal(found.astype(np.uint64), keys)
+
+        asyncio.run(asyncio.wait_for(main(), timeout=60))
+
+    def test_service_config_has_no_executor_knobs(self):
+        names = {f.name for f in dataclasses.fields(ServiceConfig)}
+        assert not names & {"executor", "executor_workers"}
+        with pytest.raises(TypeError):
+            ServiceConfig(executor="process")  # type: ignore[call-arg]
+
+    def test_batches_reach_shards_through_the_engine_hooks(self, monkeypatch):
+        """Admission goes through ``engine.admit_partition``, every executed
+        batch through the module-level ``measure_phase`` and then its own
+        shard's ``engine.maybe_resize_shard`` pump — the public hooks a
+        caller can wrap to observe the service."""
+        import repro.service.service as service_mod
+
+        calls = {"admit": 0, "measure": 0, "pump": []}
+        admit = ShardedSlabHash.admit_partition
+        pump = ShardedSlabHash.maybe_resize_shard
+        measure = service_mod.measure_phase
+
+        def counted_admit(self, keys):
+            calls["admit"] += 1
+            return admit(self, keys)
+
+        def counted_pump(self, shard):
+            calls["pump"].append(shard)
+            return pump(self, shard)
+
+        def counted_measure(*args, **kwargs):
+            calls["measure"] += 1
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(ShardedSlabHash, "admit_partition", counted_admit)
+        monkeypatch.setattr(ShardedSlabHash, "maybe_resize_shard", counted_pump)
+        monkeypatch.setattr(service_mod, "measure_phase", counted_measure)
+
+        async def main():
+            engine = make_engine(load_factor_policy=PUMP_POLICY)
+            config = ServiceConfig(max_batch_size=64, max_delay=0.0)
+            async with SlabHashService(engine, config=config) as service:
+                keys = np.arange(1, 401, dtype=np.uint64)
+                for chunk in np.array_split(keys, 4):
+                    await service.submit_many(
+                        np.full(len(chunk), C.OP_INSERT, dtype=np.int64), chunk, chunk
+                    )
+                stats = service.stats()
+            assert calls["admit"] == 4
+            assert calls["measure"] == stats.batches_executed > 0
+            assert len(calls["pump"]) == stats.batches_executed
+            assert set(calls["pump"]) == {0, 1, 2}
+            assert stats.migration_steps > 0
 
         asyncio.run(asyncio.wait_for(main(), timeout=30))

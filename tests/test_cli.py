@@ -110,6 +110,14 @@ class TestPersistCommands:
         assert "breaker trips" in output
         assert "rej-quar" in output  # the per-lane table rendered
 
+    @pytest.mark.parametrize("flag", ["--executor", "--workers"])
+    def test_service_health_has_no_executor_flags(self, flag, capsys):
+        """Shards always run in-process; the old executor flags are gone."""
+        with pytest.raises(SystemExit) as info:
+            main(["service-health", "--ops", "256", flag, "2"], stream=io.StringIO())
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_service_health_surfaces_fault_counters_under_chaos(self):
         stream = io.StringIO()
         code = main(
