@@ -56,15 +56,21 @@ pointer CAS).  Slab *allocations* are delegated to the real
 ids in the correct global order, so resident-block churn, bitmap atomics and
 growth behave — and count — exactly as in the reference schedule.
 
+Every call works on a :class:`_Snapshot` of only the buckets its keys hash
+to, so its host-side cost is O(batch + the slabs of those buckets), not
+O(table), just as an operation's device cost is one warp walking one bucket.
+
 Fallback
 --------
 Unique-key (REPLACE) resolution assumes the *canonical* bucket layout that
 every public API preserves: within each bucket's scan order, EMPTY slots only
-follow occupied/tombstoned ones.  If a table is ever observed in a
-non-canonical state (only reachable by external mutation of the stores), the
-executor transparently falls back to the reference generator path for that
-call — both for ``bulk_insert`` and for ``concurrent_batch`` — which is
-correct in every state.
+follow occupied/tombstoned ones.  If a bucket the call touches is observed in
+a non-canonical state (only reachable by external mutation of the stores),
+the executor transparently falls back to the reference generator path for
+that call — both for ``bulk_insert`` and for ``concurrent_batch`` — which is
+correct in every state.  The scan-race hazard is per bucket, so a
+non-canonical bucket the call does not touch cannot change its outcome and
+does not force the fallback.
 
 When SlabAlloc raises (out of memory) mid-batch, the executor mirrors the
 reference schedule's partial effects: every operation preceding the failing
@@ -136,21 +142,14 @@ def gather_band(
     reference generator schedule observes when walking the same band with
     :meth:`~repro.core.slab_list.SlabListCollection.live_items` — with
     ``values`` ``None`` in key-only mode.  One grouped gather over the
-    band's slabs (via :class:`~repro.core.slab_list.ChainTable`), no Python
-    loop per slab.  Host-side and uncounted, like the other snapshot scans;
-    the *re-insertion* of the band is what the migration charges to the
-    device, through the regular bulk path.
+    band's slabs (a :class:`~repro.core.slab_list.ChainTable` of the band's
+    buckets only), no Python loop per slab, so the cost is O(band), not
+    O(table).  Host-side and uncounted, like the other snapshot scans; the
+    *re-insertion* of the band is what the migration charges to the device,
+    through the regular bulk path.
     """
     cfg = lists.config
-    ct = lists.chain_table()
-    start, stop = int(ct.offsets[lo]), int(ct.offsets[hi])
-    words = np.empty((stop - start, C.SLAB_WORDS), dtype=np.uint32)
-    band_store_idx = ct.store_idx[start:stop]
-    band_rows = ct.rows[start:stop]
-    for index, store in enumerate(ct.stores):
-        mask = band_store_idx == index
-        if mask.any():
-            words[mask] = store[band_rows[mask]]
+    words = lists.chain_table(np.arange(lo, hi, dtype=np.int64)).words()
     key_lanes = np.fromiter(cfg.key_lanes, dtype=np.int64)
     keys = words[:, key_lanes]
     live = (keys != C.EMPTY_KEY) & (keys != C.DELETED_KEY)
@@ -171,18 +170,25 @@ class _AppendFailed(Exception):
 
 
 class _Snapshot:
-    """Flattened host-side view of the table, in warp traversal (scan) order.
+    """Flattened host-side view of the touched buckets, in warp traversal order.
 
-    Wraps a :class:`~repro.core.slab_list.ChainTable` with per-*slot* arrays:
-    slot ``p`` of bucket ``b`` (0-based over the whole chain, ``M`` slots per
-    slab) is the ``p``-th element position a traversing warp would inspect.
+    Wraps a :class:`~repro.core.slab_list.ChainTable` of the ``buckets`` a
+    call hashes to (sorted, unique) with per-*slot* arrays: slot ``p`` of
+    bucket ``b`` (0-based over the whole chain, ``M`` slots per slab) is the
+    ``p``-th element position a traversing warp would inspect.  Only those
+    chains are walked and gathered, so building the view costs O(batch +
+    their slabs), not O(table).  Per-bucket arrays (``offsets``,
+    ``chain_len``, ``occupied_counts``) still span every bucket; untouched
+    buckets read as zero-length chains, which no caller ever indexes.
     """
 
-    def __init__(self, lists: "SlabListCollection", cfg: SlabConfig) -> None:
+    def __init__(
+        self, lists: "SlabListCollection", cfg: SlabConfig, buckets: np.ndarray
+    ) -> None:
         self.cfg = cfg
         self.eps = cfg.elements_per_slab
         self.key_lanes = np.fromiter(cfg.key_lanes, dtype=np.int64)
-        self.ct = lists.chain_table()
+        self.ct = lists.chain_table(buckets)
         self.words = self.ct.words()
         self.keymat = self.words[:, self.key_lanes]
         self.offsets = self.ct.offsets
@@ -200,7 +206,11 @@ class _Snapshot:
     # -- layout predicates ------------------------------------------------ #
 
     def is_canonical(self) -> bool:
-        """True when every bucket keeps its EMPTY slots strictly at the tail."""
+        """True when every viewed bucket keeps its EMPTY slots strictly at the tail.
+
+        The REPLACE scan-race hazard of a non-canonical bucket only affects
+        operations on that bucket, so checking the touched buckets is exact.
+        """
         empty = self.slot_key == C.EMPTY_KEY
         if len(empty) < 2:
             return True
@@ -456,7 +466,7 @@ class BulkExecutor:
             return results
 
         buckets = table.hash_fn.hash_array(queries)
-        snap = _Snapshot(table.lists, cfg)
+        snap = _Snapshot(table.lists, cfg, np.unique(buckets))
         codes, positions = snap.live_first_occurrences()
         found, index = first_occurrence(codes, combine_codes(buckets, queries))
 
@@ -497,7 +507,7 @@ class BulkExecutor:
             return removed
 
         buckets = table.hash_fn.hash_array(keys)
-        snap = _Snapshot(table.lists, cfg)
+        snap = _Snapshot(table.lists, cfg, np.unique(buckets))
         codes, positions = snap.live_sorted()
         query_codes = combine_codes(buckets, keys)
         starts = np.searchsorted(codes, query_codes, side="left")
@@ -548,21 +558,23 @@ class BulkExecutor:
 
     def bulk_insert(self, keys: np.ndarray, values: Optional[np.ndarray]) -> None:
         table = self.table
+        buckets = table.hash_fn.hash_array(keys)
+        snap = _Snapshot(table.lists, table.config, np.unique(buckets))
         if table.config.unique_keys:
-            snap = _Snapshot(table.lists, table.config)
             if not snap.is_canonical():
-                # External mutation produced mid-chain EMPTY slots; REPLACE
-                # semantics then depend on empty-vs-match scan races that only
-                # the reference schedule resolves faithfully.
+                # External mutation produced mid-chain EMPTY slots in a bucket
+                # this batch touches; REPLACE semantics then depend on
+                # empty-vs-match scan races that only the reference schedule
+                # resolves faithfully.
                 table._reference_bulk_insert(keys, values)
                 return
-            self._insert_resolved(keys, values, snap, self._resolve_unique(snap, keys))
+            resolution = self._resolve_unique(snap, keys, buckets)
         else:
-            snap = _Snapshot(table.lists, table.config)
-            self._insert_resolved(keys, values, snap, self._resolve_duplicates(snap, keys))
+            resolution = self._resolve_duplicates(snap, buckets)
+        self._insert_resolved(keys, values, snap, resolution)
 
     def _resolve_unique(
-        self, snap: _Snapshot, keys: np.ndarray
+        self, snap: _Snapshot, keys: np.ndarray, buckets: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """REPLACE destinations: (buckets, dest position, slot-consuming mask).
 
@@ -571,9 +583,7 @@ class BulkExecutor:
         bucket's next free slot in arrival order (canonical layout: slot
         ``occupied + rank``).
         """
-        table = self.table
         n = len(keys)
-        buckets = table.hash_fn.hash_array(keys)
         occupied = snap.occupied_counts()
         codes, positions = snap.live_first_occurrences()
         query_codes = combine_codes(buckets, keys)
@@ -603,16 +613,14 @@ class BulkExecutor:
         return buckets, dest, consuming
 
     def _resolve_duplicates(
-        self, snap: _Snapshot, keys: np.ndarray
+        self, snap: _Snapshot, buckets: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """INSERT destinations: every op claims the bucket's next EMPTY slot.
 
         Free slots (including recycled mid-chain ones) are consumed in scan
         order; overflow continues into appended slabs.
         """
-        table = self.table
-        n = len(keys)
-        buckets = table.hash_fn.hash_array(keys)
+        n = len(buckets)
         empty = snap.slot_key == C.EMPTY_KEY
         free_pos = snap.slot_pos[empty]
         free_counts = np.bincount(
@@ -822,7 +830,8 @@ class BulkExecutor:
         """
         table = self.table
         cfg = table.config
-        snap = _Snapshot(table.lists, cfg)
+        buckets = table.hash_fn.hash_array(keys)
+        snap = _Snapshot(table.lists, cfg, np.unique(buckets))
         if cfg.unique_keys and not snap.is_canonical():
             # Same guard as bulk_insert: non-canonical REPLACE scan races are
             # only resolved faithfully by the reference schedule.
@@ -833,7 +842,6 @@ class BulkExecutor:
         if n == 0:
             return np.zeros(0, dtype=np.uint32)
 
-        buckets = table.hash_fn.hash_array(keys)
         # Operations with codes outside {INSERT, DELETE, SEARCH} join no
         # program in the reference driver; they occupy warp slots but execute
         # nothing and leave their result at 0.
@@ -923,10 +931,11 @@ class BulkExecutor:
         if pure_insert:
             rkeys = keys[replay_ops_arr]
             rvalues = values[replay_ops_arr] if kv else None
+            r_buckets = buckets[replay_ops_arr]
             if replace:
-                r_buckets, dest, consuming = self._resolve_unique(snap, rkeys)
+                _, dest, consuming = self._resolve_unique(snap, rkeys, r_buckets)
             else:
-                r_buckets, dest, consuming = self._resolve_duplicates(snap, rkeys)
+                _, dest, consuming = self._resolve_duplicates(snap, r_buckets)
             depth = dest // eps
             capacity = snap.chain_len * eps
             append_local = np.flatnonzero(

@@ -49,6 +49,7 @@ if TYPE_CHECKING:
 import numpy as np
 
 from repro.core import constants as C
+from repro.core.bulk_exec import gather_band
 from repro.core.slab_list import SlabListCollection
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.counters import Counters
@@ -279,9 +280,15 @@ class ResizeStats:
         }
 
 
-def _chained_addresses(lists: SlabListCollection) -> np.ndarray:
-    """Addresses of every allocated (non-base) slab currently in ``lists``."""
-    addresses = lists.chain_table().addresses
+def _chained_addresses(
+    lists: SlabListCollection, buckets: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Addresses of the allocated (non-base) slabs in ``lists``.
+
+    Restricted to ``buckets`` (sorted, unique) when given; ordered by bucket,
+    then by chain depth.
+    """
+    addresses = lists.chain_table(buckets).addresses
     return addresses[addresses != C.BASE_SLAB]
 
 
@@ -322,8 +329,8 @@ def resize_table(table: SlabHash, num_buckets: int, *, trigger: str = "manual") 
 
     # Host-side snapshot of the live contents, in bucket scan order (the
     # order delete/search_all traverse, so duplicate-key semantics survive).
-    items = table.lists.all_live_items()
     old_lists = table.lists
+    keys, values = gather_band(old_lists, 0, old_lists.num_lists)
     old_hash = table.hash_fn
     old_chained = _chained_addresses(old_lists)
 
@@ -333,13 +340,7 @@ def resize_table(table: SlabHash, num_buckets: int, *, trigger: str = "manual") 
     was_in_resize = table._in_resize
     table._in_resize = True
     try:
-        if items:
-            keys = np.fromiter((key for key, _ in items), dtype=np.uint32, count=len(items))
-            values = None
-            if table.config.key_value:
-                values = np.fromiter(
-                    (value for _, value in items), dtype=np.uint32, count=len(items)
-                )
+        if len(keys):
             table.bulk_insert(keys, values)
     except Exception:
         # Strong guarantee: tear the partial new array down, restore the old.
@@ -363,7 +364,7 @@ def resize_table(table: SlabHash, num_buckets: int, *, trigger: str = "manual") 
         new_buckets=num_buckets,
         direction="grow" if num_buckets > old_buckets else "shrink",
         trigger=trigger,
-        migrated=len(items),
+        migrated=len(keys),
         released_slabs=int(old_chained.size),
         beta_before=beta_before,
         beta_after=table.beta(),
@@ -536,8 +537,6 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
     old_lists = table.lists
     old_hash = table.hash_fn
     if table.backend == "vectorized":
-        from repro.core.bulk_exec import gather_band
-
         keys, values = gather_band(old_lists, lo, hi)
     else:
         keys, values = _gather_band_reference(old_lists, lo, hi)
@@ -561,13 +560,11 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
         table.hash_fn = old_hash
         table._in_resize = was_in_resize
 
-    band_chained: List[int] = []
-    for bucket in range(lo, hi):
-        band_chained.extend(old_lists.chain_addresses(bucket))
-    if band_chained:
+    band_chained = _chained_addresses(old_lists, np.arange(lo, hi, dtype=np.int64))
+    if band_chained.size:
         warp = table._next_warp()
-        for address in band_chained:
-            table.alloc.deallocate(warp, int(address))
+        for address in band_chained.tolist():
+            table.alloc.deallocate(warp, address)
     old_lists.base_slabs[lo:hi] = C.EMPTY_KEY
 
     state.watermark = hi

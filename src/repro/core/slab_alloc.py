@@ -121,6 +121,10 @@ class SlabAlloc:
         self._super_stores: Dict[int, np.ndarray] = {}
         #: Per-warp resident blocks.
         self._resident: Dict[int, ResidentBlock] = {}
+        #: The same residents grouped by ``(super_block, block)`` (each group
+        #: maps warp id -> resident), so a free visits only the warps resident
+        #: in the freed unit's block.
+        self._residents_by_block: Dict[Tuple[int, int], Dict[int, ResidentBlock]] = {}
         #: Number of currently allocated units (host-side bookkeeping).
         self._allocated_units = 0
         #: Optional fault hook (a :class:`repro.faults.FaultPlan` or scoped
@@ -199,9 +203,11 @@ class SlabAlloc:
         # Invalidate any stale register caches of this word held by warps
         # resident in the same block (they would refresh on their next failed
         # atomic anyway; clearing here keeps the simulation conservative).
-        for resident in self._resident.values():
-            if resident.super_block == super_block and resident.block == block:
-                resident.cached_bitmap[lane] &= np.uint32(~(1 << bit) & _FULL_WORD)
+        residents = self._residents_by_block.get((super_block, block))
+        if residents:
+            clear = np.uint32(~(1 << bit) & _FULL_WORD)
+            for resident in residents.values():
+                resident.cached_bitmap[lane] &= clear
 
     def slab_view(self, address: int) -> Tuple[np.ndarray, int]:
         """Return ``(unit_store, row)`` such that ``unit_store[row]`` is the slab's words."""
@@ -436,8 +442,18 @@ class SlabAlloc:
         state = self._resident.get(warp.warp_id)
         if state is None:
             state = self._assign_resident(warp, attempt=0)
-            self._resident[warp.warp_id] = state
+            self._set_resident(warp.warp_id, state)
         return state
+
+    def _set_resident(self, warp_id: int, state: ResidentBlock) -> None:
+        """Make ``state`` the warp's resident block in both resident indexes."""
+        old = self._resident.get(warp_id)
+        if old is not None:
+            del self._residents_by_block[(old.super_block, old.block)][warp_id]
+        self._resident[warp_id] = state
+        self._residents_by_block.setdefault((state.super_block, state.block), {})[
+            warp_id
+        ] = state
 
     def _assign_resident(self, warp: Warp, attempt: int) -> ResidentBlock:
         super_block = hash_pair(warp.warp_id, attempt, self.num_super_blocks, seed=self.seed)
@@ -463,7 +479,7 @@ class SlabAlloc:
             )
         new_state = self._assign_resident(warp, attempt=state.attempt + 1)
         new_state.changes_this_request = changes
-        self._resident[warp.warp_id] = new_state
+        self._set_resident(warp.warp_id, new_state)
         return new_state
 
     def _grow(self) -> None:

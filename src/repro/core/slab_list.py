@@ -45,7 +45,11 @@ WarpProgram = Generator[None, None, None]
 
 @dataclass
 class ChainTable:
-    """A flattened, host-side snapshot of every slab chain in a collection.
+    """A flattened, host-side snapshot of a collection's slab chains.
+
+    Covers every chain, or only the chains of the buckets passed to
+    :meth:`SlabListCollection.chain_table`; unselected buckets then appear
+    as zero-length chains in :attr:`offsets`.
 
     Slabs appear grouped by bucket and ordered by chain depth within each
     bucket, so flattened slot index ``offsets[b] * M + p`` is exactly the
@@ -466,24 +470,33 @@ class SlabListCollection:
         """Number of slabs in ``bucket``'s chain, including the base slab."""
         return 1 + len(self.chain_addresses(bucket))
 
-    def chain_table(self) -> ChainTable:
-        """Build a :class:`ChainTable` snapshot of every chain, vectorized.
+    def chain_table(self, buckets: Optional[np.ndarray] = None) -> ChainTable:
+        """Build a :class:`ChainTable` snapshot of the chains, vectorized.
 
-        Walks all chains level by level: one vectorized address decode and one
+        Walks the chains level by level: one vectorized address decode and one
         grouped gather per chain depth, rather than one Python loop iteration
         per slab.  The result is grouped by bucket in traversal order.
+
+        ``buckets`` (sorted, unique bucket ids) restricts the walk to those
+        chains, so the cost is proportional to the slabs they hold.
+        :attr:`ChainTable.offsets` still spans all ``num_lists`` buckets;
+        buckets outside the selection get zero-length chains.
         """
         num = self.num_lists
-        level_buckets = [np.arange(num, dtype=np.int64)]
-        level_store_idx = [np.zeros(num, dtype=np.int64)]
-        level_rows = [np.arange(num, dtype=np.int64)]
-        level_addresses = [np.full(num, C.BASE_SLAB, dtype=np.int64)]
-        level_depths = [np.zeros(num, dtype=np.int64)]
+        if buckets is None:
+            buckets = np.arange(num, dtype=np.int64)
+        else:
+            buckets = np.asarray(buckets, dtype=np.int64)
+        count = len(buckets)
+        level_buckets = [buckets]
+        level_store_idx = [np.zeros(count, dtype=np.int64)]
+        level_rows = [buckets]
+        level_addresses = [np.full(count, C.BASE_SLAB, dtype=np.int64)]
+        level_depths = [np.zeros(count, dtype=np.int64)]
         stores: List[np.ndarray] = [self.base_slabs]
         store_ids = {id(self.base_slabs): 0}
 
-        buckets = level_buckets[0]
-        pointers = self.base_slabs[:, C.ADDRESS_LANE].astype(np.int64)
+        pointers = self.base_slabs[buckets, C.ADDRESS_LANE].astype(np.int64)
         depth = 1
         while True:
             live = pointers != C.EMPTY_POINTER

@@ -353,6 +353,48 @@ class TestFallbacks:
         probe = rng.integers(1, 60, 200).astype(np.uint32)
         run_concurrent_both(reference, vectorized, op_codes, probe, probe)
 
+    def test_non_canonical_bucket_forces_fallback_only_when_touched(self, monkeypatch):
+        """The canonical-layout guard inspects only the buckets a batch hashes to."""
+        reference, vectorized = table_pair(num_buckets=8, alloc_config=SMALL_ALLOC, seed=51)
+        keys = np.arange(1, 300, dtype=np.uint32)
+        build_both(reference, vectorized, keys)
+        holed = 3
+        for table in (reference, vectorized):
+            table.lists.base_slabs[holed, 0] = C.EMPTY_KEY
+            table.lists.base_slabs[holed, 1] = C.EMPTY_VALUE
+        fallbacks = []
+        for name in ("_reference_concurrent_batch", "_reference_bulk_insert"):
+            original = getattr(vectorized, name)
+
+            def spy(*args, _name=name, _original=original):
+                fallbacks.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(vectorized, name, spy)
+
+        rng = np.random.default_rng(53)
+        probe = rng.integers(1, 400, 400).astype(np.uint32)
+        away = probe[vectorized.hash_fn.hash_array(probe) != holed]
+        op_codes = rng.integers(1, 4, len(away)).astype(np.int64)
+        run_concurrent_both(reference, vectorized, op_codes, away, away)
+        fresh = np.arange(1000, 1200, dtype=np.uint32)
+        fresh = fresh[vectorized.hash_fn.hash_array(fresh) != holed]
+        reference.bulk_insert(fresh, fresh)
+        vectorized.bulk_insert(fresh, fresh)
+        assert_same_state(reference, vectorized)
+        assert fallbacks == []
+
+        # Searches leave the hole in place for the bulk_insert check below.
+        op_codes = np.full(len(probe), C.OP_SEARCH, dtype=np.int64)
+        run_concurrent_both(reference, vectorized, op_codes, probe, probe)
+        assert fallbacks == ["_reference_concurrent_batch"]
+        touching = np.arange(2000, 2100, dtype=np.uint32)
+        assert (vectorized.hash_fn.hash_array(touching) == holed).any()
+        reference.bulk_insert(touching, touching)
+        vectorized.bulk_insert(touching, touching)
+        assert_same_state(reference, vectorized)
+        assert fallbacks == ["_reference_concurrent_batch", "_reference_bulk_insert"]
+
     def test_wave_size_without_scheduler_is_ignored_on_both_backends(self):
         reference, vectorized = table_pair(num_buckets=2, alloc_config=SMALL_ALLOC, seed=49)
         keys = np.arange(1, 100, dtype=np.uint32)

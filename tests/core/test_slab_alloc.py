@@ -125,6 +125,36 @@ class TestDeallocation:
         with pytest.raises(AllocationError):
             alloc.deallocate(warp, 5)  # unit 5 of block 0 was never allocated
 
+    def test_deallocate_matches_full_resident_scan(self):
+        """Per-block resident index: every cached bitmap equals a scan of all warps."""
+        device, alloc = make_alloc(ns=1, nm=4, nu=64, seed=11)
+        rng = np.random.default_rng(13)
+        warps = [Warp(i, device.counters) for i in range(48)]
+        live = []
+        for step in range(600):
+            if live and (len(live) > 230 or rng.random() < 0.3):
+                address = live.pop(int(rng.integers(len(live))))
+                super_block, block, unit = decode_address(address)
+                lane, bit = divmod(unit, 32)
+                # What the full scan over every resident warp leaves behind.
+                expected = {}
+                for warp_id, resident in alloc._resident.items():
+                    cached = resident.cached_bitmap.copy()
+                    if (resident.super_block, resident.block) == (super_block, block):
+                        cached[lane] &= np.uint32(~(1 << bit) & 0xFFFFFFFF)
+                    expected[warp_id] = cached
+                alloc.deallocate(warps[step % len(warps)], address)
+                for warp_id, resident in alloc._resident.items():
+                    assert np.array_equal(resident.cached_bitmap, expected[warp_id])
+            else:
+                live.append(alloc.warp_allocate(warps[int(rng.integers(len(warps)))]))
+        assert device.counters.resident_changes > 0
+        sharing = {}
+        for resident in alloc._resident.values():
+            key = (resident.super_block, resident.block)
+            sharing[key] = sharing.get(key, 0) + 1
+        assert max(sharing.values()) > 1
+
 
 class TestResidentChangesAndGrowth:
     def test_filling_a_block_triggers_resident_change(self):

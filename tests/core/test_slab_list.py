@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import constants as C
 from repro.core.config import SlabAllocConfig, SlabConfig
+from repro.core.resize import begin_migration, migrate_step
 from repro.core.slab_alloc import SlabAlloc
+from repro.core.slab_hash import SlabHash
 from repro.core.slab_list import SlabListCollection
 from repro.gpusim.device import Device
 from repro.gpusim.scheduler import run_sequential
@@ -282,3 +284,60 @@ class TestIntrospection:
         alloc = SlabAlloc(device, SlabAllocConfig(1, 2, 64))
         with pytest.raises(ValueError):
             SlabListCollection(device, alloc, 0)
+
+
+def assert_scoped_chain_table(lists, buckets):
+    """``chain_table(buckets)`` is the full ChainTable restricted to ``buckets``."""
+    full = lists.chain_table()
+    part = lists.chain_table(buckets)
+    selected = np.zeros(lists.num_lists, dtype=bool)
+    selected[buckets] = True
+    assert len(part.offsets) == lists.num_lists + 1
+    lengths = part.chain_lengths()
+    assert not lengths[~selected].any()
+    assert np.array_equal(lengths[selected], full.chain_lengths()[selected])
+    assert part.num_slabs == int(lengths.sum())
+    full_words, part_words = full.words(), part.words()
+    for bucket in buckets:
+        f = slice(full.offsets[bucket], full.offsets[bucket + 1])
+        p = slice(part.offsets[bucket], part.offsets[bucket + 1])
+        assert np.array_equal(part.rows[p], full.rows[f])
+        assert np.array_equal(part.addresses[p], full.addresses[f])
+        assert np.array_equal(part.bucket_of[p], full.bucket_of[f])
+        assert [id(part.stores[i]) for i in part.store_idx[p]] == [
+            id(full.stores[i]) for i in full.store_idx[f]
+        ]
+        assert np.array_equal(part_words[p], full_words[f])
+
+
+class TestScopedChainTable:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_full_table_on_random_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        table = SlabHash(
+            int(rng.integers(3, 40)),
+            alloc_config=SlabAllocConfig(2, 8, 64),
+            seed=seed,
+            unique_keys=bool(seed % 2),
+        )
+        keys = rng.choice(np.arange(1, 5000, dtype=np.uint32), 700, replace=False)
+        table.bulk_build(keys, keys)
+        table.bulk_delete(keys[: 200])
+        num = table.num_buckets
+        for size in (0, 1, num // 2, num):
+            chosen = np.sort(rng.choice(num, size, replace=False)).astype(np.int64)
+            assert_scoped_chain_table(table.lists, chosen)
+
+    def test_matches_full_table_mid_migration(self):
+        table = SlabHash(8, alloc_config=SlabAllocConfig(2, 8, 64), seed=5)
+        keys = np.arange(1, 600, dtype=np.uint32)
+        table.bulk_build(keys, keys)
+        begin_migration(table, 24, step_buckets=3)
+        migrate_step(table)
+        migrate_step(table)
+        assert table.migration is not None
+        rng = np.random.default_rng(7)
+        for lists in (table.lists, table.migration.new_lists):
+            for size in (1, 4, lists.num_lists):
+                chosen = np.sort(rng.choice(lists.num_lists, size, replace=False))
+                assert_scoped_chain_table(lists, chosen.astype(np.int64))

@@ -42,7 +42,7 @@ def test_tiny_benchmark_roundtrip_matches_schema(tmp_path):
     assert churn["num_keys"] == 1024
     # Schema v3 guarantees the comparison exercised real grow/shrink cycles.
     assert churn["auto"]["grows"] >= 1 and churn["auto"]["shrinks"] >= 1
-    assert churn["auto_over_fixed"] > 0
+    assert churn["auto_over_fixed"] >= 0.5
     # Schema v4: durability primitives, measured on a verified round-trip.
     persist = document["persist"]
     assert persist["num_keys"] == 1024
@@ -89,6 +89,10 @@ def test_validate_document_rejects_drift():
     no_shrink["resize_churn"]["auto"]["shrinks"] = 0
     with pytest.raises(ValueError, match="grow and one shrink"):
         bench_wallclock.validate_document(no_shrink)
+    slow_auto = json.loads(json.dumps(document))
+    slow_auto["resize_churn"]["auto_over_fixed"] = 0.4
+    with pytest.raises(ValueError, match="auto_over_fixed"):
+        bench_wallclock.validate_document(slow_auto)
     incrementalless = dict(document)
     incrementalless.pop("incremental_resize")
     with pytest.raises(ValueError, match="incremental_resize"):
