@@ -42,6 +42,7 @@ import numpy as np
 from repro.engine.sharded import ShardedSlabHash
 from repro.faults import FaultAction, FaultPlan, InjectedFault
 from repro.service import (
+    LANE_OPEN,
     ServiceConfig,
     ServiceError,
     ServiceOverloaded,
@@ -219,7 +220,7 @@ def run_quarantined_point(
                     for start in range(0, len(workload), burst)
                 ]
             )
-            while service._restore_tasks:
+            while LANE_OPEN in service.lane_states:
                 await asyncio.sleep(0.001)
 
     asyncio.run(main())

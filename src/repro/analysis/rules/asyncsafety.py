@@ -11,26 +11,36 @@ The fix is always the same: re-read (or atomically swap) *after* the await,
 as ``_commit_round`` does with ``staged, self._staged = self._staged, []``.
 This rule is the static detector for the broken shape: inside one async
 function, a local bound from a ``self`` attribute chain *before* an await
-that is written back to the same chain *after* the await.
+that is written back to the same chain *after* the await.  A local bound to
+a ``self`` chain is followed as an alias (``lane = self._lanes[s]`` makes
+``lane.trips`` the chain ``self._lanes[s].trips``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.analysis.framework import Module, Rule, Violation
 
 __all__ = ["AsyncSharedStateRule"]
 
 
-def _chain_key(node: ast.AST) -> str:
-    """Canonical text of a self-rooted attribute/subscript chain, or ''."""
+def _chain_key(node: ast.AST, aliases: Dict[str, str]) -> str:
+    """Canonical text of a self-rooted attribute/subscript chain, or ''.
+
+    A chain rooted at an alias local is rewritten onto its ``self`` chain.
+    """
     try:
         text = ast.unparse(node)
     except Exception:  # pragma: no cover - unparse is total on 3.9+
         return ""
-    return text if text.startswith("self.") else ""
+    if text.startswith("self."):
+        return text
+    for local, chain in aliases.items():
+        if text.startswith((local + ".", local + "[")):
+            return chain + text[len(local):]
+    return ""
 
 
 def _local_names(node: ast.AST) -> List[str]:
@@ -63,24 +73,31 @@ class AsyncSharedStateRule(Rule):
         reads: List[Tuple[int, str, str]] = []  # (line, local, chain)
         awaits: List[int] = []
         writes: List[Tuple[int, ast.AST, str, List[str]]] = []
+        aliases: Dict[str, str] = {}  # local -> the self chain it was bound to
 
-        for sub in ast.walk(func):
-            if isinstance(sub, (ast.AsyncFunctionDef, ast.FunctionDef)) and sub is not func:
-                continue  # nested defs get their own pass
+        # Source order, so an alias is known before the statements using it.
+        nodes = sorted(
+            (n for n in ast.walk(func) if isinstance(n, (ast.Await, ast.Assign, ast.AugAssign))),
+            key=lambda n: (n.lineno, n.col_offset),
+        )
+        for sub in nodes:
             if isinstance(sub, ast.Await):
                 awaits.append(sub.lineno)
             elif isinstance(sub, ast.Assign):
-                chain = _chain_key(sub.value)
-                if chain:
-                    for target in sub.targets:
-                        if isinstance(target, ast.Name):
-                            reads.append((sub.lineno, target.id, chain))
+                chain = _chain_key(sub.value, aliases)
                 for target in sub.targets:
-                    tchain = _chain_key(target)
-                    if tchain and not _chain_key(sub.value) == tchain:
+                    tchain = _chain_key(target, aliases)
+                    if tchain and tchain != chain:
                         writes.append((sub.lineno, sub, tchain, _local_names(sub.value)))
+                for target in sub.targets:
+                    if isinstance(target, ast.Name):
+                        if chain:
+                            reads.append((sub.lineno, target.id, chain))
+                            aliases[target.id] = chain
+                        else:
+                            aliases.pop(target.id, None)
             elif isinstance(sub, ast.AugAssign):
-                tchain = _chain_key(sub.target)
+                tchain = _chain_key(sub.target, aliases)
                 if tchain:
                     writes.append((sub.lineno, sub, tchain, _local_names(sub.value)))
 

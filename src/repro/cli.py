@@ -436,7 +436,7 @@ def _cmd_service_health(args: argparse.Namespace, stream: TextIO) -> int:
                     )
                 except (InjectedFault, ServiceError):
                     dropped += len(ops)  # degraded: the counters record why
-            while service._restore_tasks:
+            while LANE_OPEN in service.lane_states:
                 await asyncio.sleep(0.001)
 
     asyncio.run(run())

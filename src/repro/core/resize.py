@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, List, Optional, Tuple, TypedDict
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.core.slab_hash import SlabHash
@@ -52,7 +52,7 @@ from repro.core import constants as C
 from repro.core.bulk_exec import gather_band
 from repro.core.slab_list import SlabListCollection
 from repro.gpusim.costmodel import CostModel
-from repro.gpusim.counters import Counters
+from repro.gpusim.counters import Counters, StatsRecord
 
 __all__ = [
     "LoadFactorPolicy",
@@ -213,23 +213,8 @@ class ResizeResult:
         return self.direction != "noop"
 
 
-class ResizeStatsDict(TypedDict):
-    """JSON-ready accounting payload of :meth:`ResizeStats.as_dict`."""
-
-    resizes: int
-    grows: int
-    shrinks: int
-    noops: int
-    migrated_items: int
-    released_slabs: int
-    modelled_seconds: float
-    migration_steps: int
-    migration_buckets: int
-    migration_items: int
-
-
 @dataclass
-class ResizeStats:
+class ResizeStats(StatsRecord):
     """Accumulated resize accounting of one table (coverage hooks for tests)."""
 
     resizes: int = 0
@@ -242,7 +227,7 @@ class ResizeStats:
     migration_steps: int = 0
     migration_buckets: int = 0
     migration_items: int = 0
-    history: List[ResizeResult] = field(default_factory=list)
+    history: List[ResizeResult] = field(default_factory=list, metadata={"as_dict": False})
 
     def note_step(self, *, buckets: int, items: int) -> None:
         """Record one incremental migration step (a band of buckets moved)."""
@@ -264,20 +249,6 @@ class ResizeStats:
         self.migrated_items += result.migrated
         self.released_slabs += result.released_slabs
         self.modelled_seconds += result.seconds
-
-    def as_dict(self) -> "ResizeStatsDict":
-        return {
-            "resizes": self.resizes,
-            "grows": self.grows,
-            "shrinks": self.shrinks,
-            "noops": self.noops,
-            "migrated_items": self.migrated_items,
-            "released_slabs": self.released_slabs,
-            "modelled_seconds": self.modelled_seconds,
-            "migration_steps": self.migration_steps,
-            "migration_buckets": self.migration_buckets,
-            "migration_items": self.migration_items,
-        }
 
 
 def _chained_addresses(

@@ -37,20 +37,9 @@ algorithm under the same model, which is what preserves the paper's trends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TypedDict
+from typing import Optional
 
-
-class CostBreakdownDict(TypedDict):
-    """JSON-ready payload of :meth:`CostBreakdown.as_dict`."""
-
-    memory_time: float
-    atomic_time: float
-    compute_time: float
-    launch_overhead: float
-    total_time: float
-    bottleneck: str
-
-from repro.gpusim.counters import Counters
+from repro.gpusim.counters import Counters, StatsRecord
 from repro.gpusim.device import DeviceSpec, TESLA_K40C
 
 __all__ = ["CostBreakdown", "CostModel"]
@@ -63,7 +52,7 @@ CAS_FAILURE_PENALTY = 0.5
 
 
 @dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(StatsRecord):
     """Modelled time of one measured phase, split by engine."""
 
     memory_time: float
@@ -72,16 +61,6 @@ class CostBreakdown:
     launch_overhead: float
     total_time: float
     bottleneck: str
-
-    def as_dict(self) -> CostBreakdownDict:
-        return {
-            "memory_time": self.memory_time,
-            "atomic_time": self.atomic_time,
-            "compute_time": self.compute_time,
-            "launch_overhead": self.launch_overhead,
-            "total_time": self.total_time,
-            "bottleneck": self.bottleneck,
-        }
 
 
 class CostModel:

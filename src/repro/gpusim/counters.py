@@ -15,9 +15,9 @@ hop" for the Misra baseline) is visible and testable.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict
+from typing import Any, Dict, cast
 
-__all__ = ["Counters", "scale_counters"]
+__all__ = ["Counters", "StatsRecord", "scale_counters"]
 
 
 @dataclass
@@ -157,3 +157,31 @@ def scale_counters(counters: Counters, factor: float) -> Counters:
         else:
             setattr(scaled, f.name, int(round(value * factor)))
     return scaled
+
+
+class StatsRecord:
+    """Base of the stats dataclasses: one JSON-ready :meth:`as_dict` for all.
+
+    A field declared with ``metadata={"as_dict": False}`` is left out.
+    """
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The dataclass fields, then the public properties, as plain data.
+
+        Tuples become lists; a nested value with its own ``as_dict`` (another
+        record, a :class:`~repro.perf.latency.LatencyReport`) goes through it.
+        """
+        cls = type(self)
+        names = [f.name for f in fields(cast(Any, self)) if f.metadata.get("as_dict", True)]
+        names += [
+            name
+            for name in dir(cls)
+            if not name.startswith("_") and isinstance(getattr(cls, name), property)
+        ]
+        return {name: _plain(getattr(self, name)) for name in names}
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value.as_dict() if hasattr(value, "as_dict") else value

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, TypedDict, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.slab_hash import SlabHash
 from repro.engine.sharded import ShardedSlabHash
+from repro.gpusim.counters import StatsRecord
 from repro.gpusim.scheduler import WarpScheduler
 from repro.persist.snapshot import load, wal_floor
 from repro.persist.wal import WalRecord, read_records
@@ -55,22 +56,8 @@ class WalFloorRegressionError(ValueError):
     """
 
 
-class RecoveryReportDict(TypedDict):
-    """JSON-ready payload of :meth:`RecoveryReport.as_dict`."""
-
-    snapshot_path: str
-    wal_path: Optional[str]
-    records_replayed: int
-    ops_replayed: int
-    records_failed: int
-    records_skipped: int
-    records_aborted: int
-    torn_tail: bool
-    next_batch_index: int
-
-
 @dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(StatsRecord):
     """What :func:`recover` found and did."""
 
     snapshot_path: str
@@ -82,19 +69,6 @@ class RecoveryReport:
     torn_tail: bool  #: the WAL ended in a partial record (discarded)
     next_batch_index: int  #: where a resuming service should continue numbering
     records_aborted: int = 0  #: logged batches skipped because they were aborted
-
-    def as_dict(self) -> RecoveryReportDict:
-        return {
-            "snapshot_path": self.snapshot_path,
-            "wal_path": self.wal_path,
-            "records_replayed": self.records_replayed,
-            "ops_replayed": self.ops_replayed,
-            "records_failed": self.records_failed,
-            "records_skipped": self.records_skipped,
-            "records_aborted": self.records_aborted,
-            "torn_tail": self.torn_tail,
-            "next_batch_index": self.next_batch_index,
-        }
 
 
 def replay_record(

@@ -202,6 +202,9 @@ class MicroBatcher:
         #: Totals for :class:`repro.service.ServiceStats`.
         self.ops_enqueued = 0
         self.batches_cut = 0
+        #: Operations carried by the cut batches (expired and cleared
+        #: operations are never cut).
+        self.ops_cut = 0
         #: Batches cut *without* ``force`` — size-triggered cuts, warp-aligned
         #: by construction ("naturally aligned").
         self.aligned_batches = 0
@@ -334,6 +337,7 @@ class MicroBatcher:
                 chunks.append(head.split(needed))
                 needed = 0
         self._pending -= count
+        self.ops_cut += count
         self.batches_cut += 1
         if force:
             self.forced_batches += 1

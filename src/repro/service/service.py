@@ -87,17 +87,7 @@ import asyncio
 import time
 from dataclasses import dataclass, field
 from types import TracebackType
-from typing import (
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Type,
-    TypedDict,
-    Union,
-)
+from typing import List, Optional, Sequence, Set, Tuple, Type, Union
 
 import numpy as np
 
@@ -106,6 +96,7 @@ from repro.core.hashing import is_user_key
 from repro.core.slab_hash import SlabHash
 from repro.engine.sharded import ShardedSlabHash
 from repro.faults import FaultPlan, InjectedFault
+from repro.gpusim.counters import StatsRecord
 from repro.gpusim.scheduler import WarpScheduler
 from repro.perf.latency import LatencyRecorder, LatencyReport
 from repro.perf.metrics import measure_phase
@@ -184,29 +175,8 @@ class ServiceConfig:
     breaker_threshold: int = 3
 
 
-class ShardLaneStatsDict(TypedDict):
-    """JSON-ready payload of :meth:`ShardLaneStats.as_dict`."""
-
-    shard: int
-    ops_enqueued: int
-    batches_cut: int
-    aligned_batches: int
-    forced_batches: int
-    forced_aligned_batches: int
-    warp_aligned_batches: int
-    deadline_forced_fraction: float
-    warp_aligned_fraction: float
-    modelled_seconds: float
-    rejected_overloaded: int
-    rejected_quarantined: int
-    ops_expired: int
-    trips: int
-    restores: int
-    state: str
-
-
 @dataclass(frozen=True)
-class ShardLaneStats:
+class ShardLaneStats(StatsRecord):
     """One shard lane's batching and device-time accounting.
 
     The aggregate views in :class:`ServiceStats` are pure sums over these
@@ -256,62 +226,9 @@ class ShardLaneStats:
             self.warp_aligned_batches / self.batches_cut if self.batches_cut else 0.0
         )
 
-    def as_dict(self) -> ShardLaneStatsDict:
-        return {
-            "shard": self.shard,
-            "ops_enqueued": self.ops_enqueued,
-            "batches_cut": self.batches_cut,
-            "aligned_batches": self.aligned_batches,
-            "forced_batches": self.forced_batches,
-            "forced_aligned_batches": self.forced_aligned_batches,
-            "warp_aligned_batches": self.warp_aligned_batches,
-            "deadline_forced_fraction": self.deadline_forced_fraction,
-            "warp_aligned_fraction": self.warp_aligned_fraction,
-            "modelled_seconds": self.modelled_seconds,
-            "rejected_overloaded": self.rejected_overloaded,
-            "rejected_quarantined": self.rejected_quarantined,
-            "ops_expired": self.ops_expired,
-            "trips": self.trips,
-            "restores": self.restores,
-            "state": self.state,
-        }
-
-
-class ServiceStatsDict(TypedDict):
-    """JSON-ready payload of :meth:`ServiceStats.as_dict` (bench documents)."""
-
-    ops_enqueued: int
-    ops_completed: int
-    ops_failed: int
-    batches_executed: int
-    warp_aligned_batches: int
-    deadline_forced_batches: int
-    deadline_forced_fraction: float
-    warp_aligned_fraction: float
-    mean_batch_size: float
-    latency: Dict[str, float]
-    wall_seconds: float
-    ops_per_second: float
-    modelled_seconds: float
-    modelled_ops_per_second: float
-    per_shard: List[ShardLaneStatsDict]
-    resizes_performed: int
-    resize_failures: List[str]
-    resize_modelled_seconds: float
-    migration_steps: int
-    migration_buckets_moved: int
-    migration_items_moved: int
-    ops_rejected: int
-    ops_expired: int
-    breaker_trips: int
-    shard_restores: int
-    wal_rollbacks: int
-    batches_aborted: int
-    restore_failures: List[str]
-
 
 @dataclass(frozen=True)
-class ServiceStats:
+class ServiceStats(StatsRecord):
     """A point-in-time snapshot of the service's accounting.
 
     ``warp_aligned_batches`` counts batches whose *size* was a warp multiple
@@ -389,39 +306,6 @@ class ServiceStats:
             else 0.0
         )
 
-    def as_dict(self) -> ServiceStatsDict:
-        """Plain-dict view (used by the service benchmark JSON documents)."""
-        return {
-            "ops_enqueued": self.ops_enqueued,
-            "ops_completed": self.ops_completed,
-            "ops_failed": self.ops_failed,
-            "batches_executed": self.batches_executed,
-            "warp_aligned_batches": self.warp_aligned_batches,
-            "deadline_forced_batches": self.deadline_forced_batches,
-            "deadline_forced_fraction": self.deadline_forced_fraction,
-            "warp_aligned_fraction": self.warp_aligned_fraction,
-            "mean_batch_size": self.mean_batch_size,
-            "latency": self.latency.as_dict(),
-            "wall_seconds": self.wall_seconds,
-            "ops_per_second": self.ops_per_second,
-            "modelled_seconds": self.modelled_seconds,
-            "modelled_ops_per_second": self.modelled_ops_per_second,
-            "per_shard": [lane.as_dict() for lane in self.per_shard],
-            "resizes_performed": self.resizes_performed,
-            "resize_failures": list(self.resize_failures),
-            "resize_modelled_seconds": self.resize_modelled_seconds,
-            "migration_steps": self.migration_steps,
-            "migration_buckets_moved": self.migration_buckets_moved,
-            "migration_items_moved": self.migration_items_moved,
-            "ops_rejected": self.ops_rejected,
-            "ops_expired": self.ops_expired,
-            "breaker_trips": self.breaker_trips,
-            "shard_restores": self.shard_restores,
-            "wal_rollbacks": self.wal_rollbacks,
-            "batches_aborted": self.batches_aborted,
-            "restore_failures": list(self.restore_failures),
-        }
-
 
 class _StagedBatch:
     """A cut shard batch waiting for the next group commit."""
@@ -432,6 +316,22 @@ class _StagedBatch:
         self.shard = shard
         self.batch = batch
         self.batch_index = -1  # assigned at group-commit time
+
+
+@dataclass
+class Lane:
+    """One shard's drain lane: its log, wake event, breaker and counters."""
+
+    batcher: MicroBatcher
+    wake: asyncio.Event = field(default_factory=asyncio.Event)
+    state: str = LANE_CLOSED
+    consecutive_failures: int = 0
+    rejected_overloaded: int = 0
+    rejected_quarantined: int = 0
+    trips: int = 0
+    restores: int = 0
+    modelled_seconds: float = 0.0
+    restore_task: Optional["asyncio.Task[None]"] = None
 
 
 class SlabHashService:
@@ -485,31 +385,19 @@ class SlabHashService:
         self._shards: List[SlabHash] = list(engine.shards) if self._sharded else [engine]
         table_config = self._shards[0].config
         self._key_value = table_config.key_value
-        self._batchers = [
-            MicroBatcher(self.config.max_batch_size) for _ in self._shards
-        ]
+        self._lanes = [Lane(MicroBatcher(self.config.max_batch_size)) for _ in self._shards]
         self._latency = LatencyRecorder()
-        self._wakes: List[asyncio.Event] = []
         self._drain_tasks: List["asyncio.Task[None]"] = []
         self._staged: List[_StagedBatch] = []
         self._closing = False
         self._batch_index = 0  # next WAL batch index (global across shards)
         self._ops_completed = 0
         self._ops_failed = 0
-        self._modelled_per_shard = [0.0 for _ in self._shards]
         self._resizes_performed = 0
         self._resize_failure_log: List[str] = []
         self._resize_modelled_seconds = 0.0
         self._first_enqueue: Optional[float] = None
         self._last_completion: Optional[float] = None
-        # Degradation state: circuit breaker + quarantine, per drain lane.
-        self._lane_state = [LANE_CLOSED for _ in self._shards]
-        self._consecutive_failures = [0 for _ in self._shards]
-        self._rejected_overloaded = [0 for _ in self._shards]
-        self._rejected_quarantined = [0 for _ in self._shards]
-        self._lane_trips = [0 for _ in self._shards]
-        self._lane_restores = [0 for _ in self._shards]
-        self._restore_tasks: Dict[int, "asyncio.Task[None]"] = {}
         self._restore_failure_log: List[str] = []
         self._checkpoint_path: Optional[str] = None
         # Exactly-once across recovery: indices of logged-then-rejected
@@ -538,17 +426,16 @@ class SlabHashService:
         if not self._running:
             loop = asyncio.get_running_loop()
             self._closing = False
-            self._wakes = [asyncio.Event() for _ in self._shards]
+            for lane in self._lanes:
+                lane.wake = asyncio.Event()
             self._drain_tasks = [
                 loop.create_task(self._drain_shard(shard))
                 for shard in range(len(self._shards))
             ]
             # A lane left quarantined by a stop() mid-restore re-arms here.
-            for shard, state in enumerate(self._lane_state):
-                if state == LANE_OPEN and shard not in self._restore_tasks:
-                    self._restore_tasks[shard] = loop.create_task(
-                        self._restore_lane(shard)
-                    )
+            for shard, lane in enumerate(self._lanes):
+                if lane.state == LANE_OPEN and lane.restore_task is None:
+                    lane.restore_task = loop.create_task(self._restore_lane(shard))
         return self
 
     async def stop(self) -> None:
@@ -567,12 +454,13 @@ class SlabHashService:
         if not self._drain_tasks:
             return
         self._closing = True
-        for wake in self._wakes:
-            wake.set()
+        for lane in self._lanes:
+            lane.wake.set()
         outcomes = await asyncio.gather(*self._drain_tasks, return_exceptions=True)
         self._drain_tasks = []
-        restores = list(self._restore_tasks.values())
-        self._restore_tasks = {}
+        restores = [lane.restore_task for lane in self._lanes if lane.restore_task]
+        for lane in self._lanes:
+            lane.restore_task = None
         for task in restores:
             task.cancel()
         for task in restores:
@@ -584,8 +472,8 @@ class SlabHashService:
         stopped = ServiceStopped(
             "service stopped before these operations could be cut"
         )
-        for batcher in self._batchers:
-            self._ops_failed += batcher.clear(stopped)
+        for lane in self._lanes:
+            self._ops_failed += lane.batcher.clear(stopped)
         for entry in self._staged:
             self._ops_failed += len(entry.batch)
             entry.batch.fail(stopped)
@@ -627,16 +515,17 @@ class SlabHashService:
         """Fail fast — typed, retryable, *before* anything is enqueued."""
         if self._closing:
             raise ServiceStopped("service is stopping; operation not admitted")
-        if self._lane_state[shard] == LANE_OPEN:
-            self._rejected_quarantined[shard] += count
+        lane = self._lanes[shard]
+        if lane.state == LANE_OPEN:
+            lane.rejected_quarantined += count
             raise ShardQuarantined(
                 f"shard {shard} is quarantined (restore in progress); retry later"
             )
         budget = self.config.max_pending_per_shard
         if budget is not None:
-            pending = len(self._batchers[shard])
+            pending = len(lane.batcher)
             if pending + count > budget:
-                self._rejected_overloaded[shard] += count
+                lane.rejected_overloaded += count
                 raise ServiceOverloaded(
                     f"shard {shard} holds {pending} pending op(s); admitting "
                     f"{count} would exceed the budget of {budget} — retry later"
@@ -666,8 +555,8 @@ class SlabHashService:
             now,
             deadline,
         )
-        self._batchers[shard].add(chunk)
-        self._wakes[shard].set()
+        self._lanes[shard].batcher.add(chunk)
+        self._lanes[shard].wake.set()
         return future
 
     async def submit(
@@ -774,8 +663,8 @@ class SlabHashService:
                 now,
                 deadline,
             )
-            self._batchers[shard].add(chunk)
-            self._wakes[shard].set()
+            self._lanes[shard].batcher.add(chunk)
+            self._lanes[shard].wake.set()
         return await future
 
     # ------------------------------------------------------------------ #
@@ -792,21 +681,22 @@ class SlabHashService:
         sub-warp ragged tail waits, up to ``max_delay``, for enough traffic
         to fill a warp before a forced (deadline) cut flushes it.
         """
-        batcher = self._batchers[shard]
-        wake = self._wakes[shard]
+        lane = self._lanes[shard]
+        batcher = lane.batcher
+        wake = lane.wake
         while True:
             # Deadline rejections happen at cut time: expired operations are
             # failed here, before any batch is cut, never executed late.
             expired = batcher.expire(time.perf_counter())
             if expired:
                 self._ops_failed += expired
-            if self._lane_state[shard] == LANE_OPEN:
+            if lane.state == LANE_OPEN:
                 # Quarantined: admission is refusing traffic and the restore
                 # task owns the shard; park until it half-opens the lane.
                 if self._closing:
                     return
                 wake.clear()
-                if self._lane_state[shard] != LANE_OPEN:  # raced with restore
+                if lane.state != LANE_OPEN:  # raced with restore
                     continue
                 await wake.wait()
                 continue
@@ -939,7 +829,7 @@ class SlabHashService:
                     num_ops=len(batch),
                     label=f"service batch {entry.batch_index} (shard {entry.shard})",
                 )
-                self._modelled_per_shard[entry.shard] += measurement.seconds
+                self._lanes[entry.shard].modelled_seconds += measurement.seconds
             else:
                 run()
             results = holder["results"]
@@ -961,9 +851,10 @@ class SlabHashService:
 
     def _lane_ok(self, shard: int) -> None:
         """A batch executed cleanly: reset the breaker, close a half-open lane."""
-        self._consecutive_failures[shard] = 0
-        if self._lane_state[shard] == LANE_HALF_OPEN:
-            self._lane_state[shard] = LANE_CLOSED
+        lane = self._lanes[shard]
+        lane.consecutive_failures = 0
+        if lane.state == LANE_HALF_OPEN:
+            lane.state = LANE_CLOSED
 
     def _reject_batch(self, entry: _StagedBatch, exc: BaseException, *, dirty: bool) -> None:
         """Fail one committed batch's futures and advance the breaker.
@@ -978,17 +869,17 @@ class SlabHashService:
         immediately; everything else trips only after ``breaker_threshold``
         consecutive failures.
         """
-        shard = entry.shard
+        lane = self._lanes[entry.shard]
         injected = isinstance(exc, InjectedFault)
         if injected:
             self._abort_batch_record(entry.batch_index)
         self._ops_failed += len(entry.batch)
         entry.batch.fail(exc)
-        self._consecutive_failures[shard] += 1
+        lane.consecutive_failures += 1
         if (dirty and injected) or (
-            self._consecutive_failures[shard] >= self.config.breaker_threshold
+            lane.consecutive_failures >= self.config.breaker_threshold
         ):
-            self._trip(shard, exc)
+            self._trip(entry.shard, exc)
 
     def _abort_batch_record(self, batch_index: int) -> None:
         """Durably mark a logged batch as aborted so recovery skips it."""
@@ -1022,24 +913,25 @@ class SlabHashService:
         half-open immediately — no admission window ever rejects, matching
         the pre-hardening serve-on behavior for natural failures.
         """
-        if self._lane_state[shard] == LANE_OPEN:
+        lane = self._lanes[shard]
+        if lane.state == LANE_OPEN:
             return
-        self._lane_trips[shard] += 1
+        lane.trips += 1
         error = ShardQuarantined(
             f"shard {shard} quarantined after "
-            f"{self._consecutive_failures[shard]} consecutive batch failure(s): "
+            f"{lane.consecutive_failures} consecutive batch failure(s): "
             f"{type(cause).__name__}: {cause}"
         )
         error.__cause__ = cause
-        self._ops_failed += self._batchers[shard].clear(error)
+        self._ops_failed += lane.batcher.clear(error)
         if self._checkpoint_path is None:
             self._flush_unlogged_aborts()
-            self._lane_restores[shard] += 1
-            self._consecutive_failures[shard] = 0
-            self._lane_state[shard] = LANE_HALF_OPEN
+            lane.restores += 1
+            lane.consecutive_failures = 0
+            lane.state = LANE_HALF_OPEN
             return
-        self._lane_state[shard] = LANE_OPEN
-        self._restore_tasks[shard] = asyncio.get_running_loop().create_task(
+        lane.state = LANE_OPEN
+        lane.restore_task = asyncio.get_running_loop().create_task(
             self._restore_lane(shard)
         )
 
@@ -1073,12 +965,12 @@ class SlabHashService:
                         f"{type(exc).__name__}: {exc}"
                     )
                     await asyncio.sleep(self.config.max_delay)
-            self._lane_restores[shard] += 1
-            self._consecutive_failures[shard] = 0
-            self._lane_state[shard] = LANE_HALF_OPEN
-            self._restore_tasks.pop(shard, None)
-            if shard < len(self._wakes):
-                self._wakes[shard].set()
+            lane = self._lanes[shard]
+            lane.restores += 1
+            lane.consecutive_failures = 0
+            lane.state = LANE_HALF_OPEN
+            lane.restore_task = None
+            lane.wake.set()
         except asyncio.CancelledError:
             pass
 
@@ -1179,8 +1071,8 @@ class SlabHashService:
         """
         from repro.persist.snapshot import save as _save
 
-        for shard, state in enumerate(self._lane_state):
-            if state == LANE_OPEN:
+        for shard, lane in enumerate(self._lanes):
+            if lane.state == LANE_OPEN:
                 raise ShardQuarantined(
                     f"cannot checkpoint while shard {shard} is quarantined "
                     "(restore in progress); retry after it half-opens"
@@ -1235,7 +1127,7 @@ class SlabHashService:
     @property
     def pending(self) -> int:
         """Operations waiting in the per-shard logs or staged for commit."""
-        return sum(len(batcher) for batcher in self._batchers) + sum(
+        return sum(len(lane.batcher) for lane in self._lanes) + sum(
             len(entry.batch) for entry in self._staged
         )
 
@@ -1247,7 +1139,7 @@ class SlabHashService:
     @property
     def lane_states(self) -> Tuple[str, ...]:
         """Per-lane circuit-breaker states (``closed``/``open``/``half_open``)."""
-        return tuple(self._lane_state)
+        return tuple(lane.state for lane in self._lanes)
 
     @property
     def resizes_performed(self) -> int:
@@ -1282,23 +1174,24 @@ class SlabHashService:
         lanes = tuple(
             ShardLaneStats(
                 shard=shard,
-                ops_enqueued=batcher.ops_enqueued,
-                batches_cut=batcher.batches_cut,
-                aligned_batches=batcher.aligned_batches,
-                forced_batches=batcher.forced_batches,
-                forced_aligned_batches=batcher.forced_aligned_batches,
-                modelled_seconds=self._modelled_per_shard[shard],
-                rejected_overloaded=self._rejected_overloaded[shard],
-                rejected_quarantined=self._rejected_quarantined[shard],
-                ops_expired=batcher.ops_expired,
-                trips=self._lane_trips[shard],
-                restores=self._lane_restores[shard],
-                state=self._lane_state[shard],
+                ops_enqueued=lane.batcher.ops_enqueued,
+                batches_cut=lane.batcher.batches_cut,
+                aligned_batches=lane.batcher.aligned_batches,
+                forced_batches=lane.batcher.forced_batches,
+                forced_aligned_batches=lane.batcher.forced_aligned_batches,
+                modelled_seconds=lane.modelled_seconds,
+                rejected_overloaded=lane.rejected_overloaded,
+                rejected_quarantined=lane.rejected_quarantined,
+                ops_expired=lane.batcher.ops_expired,
+                trips=lane.trips,
+                restores=lane.restores,
+                state=lane.state,
             )
-            for shard, batcher in enumerate(self._batchers)
+            for shard, lane in enumerate(self._lanes)
         )
         batches = sum(lane.batches_cut for lane in lanes)
-        modelled = max(self._modelled_per_shard) if self._modelled_per_shard else 0.0
+        ops_cut = sum(lane.batcher.ops_cut for lane in self._lanes)
+        modelled = max(lane.modelled_seconds for lane in lanes)
         return ServiceStats(
             ops_enqueued=sum(lane.ops_enqueued for lane in lanes),
             ops_completed=self._ops_completed,
@@ -1309,7 +1202,7 @@ class SlabHashService:
             # ... and trigger view (cuts forced by a deadline or drain), so a
             # forced warp-sized tail is distinguishable from a natural cut.
             deadline_forced_batches=sum(lane.forced_batches for lane in lanes),
-            mean_batch_size=(self._ops_completed + self._ops_failed) / batches if batches else 0.0,
+            mean_batch_size=ops_cut / batches if batches else 0.0,
             latency=self._latency.report(),
             wall_seconds=wall,
             ops_per_second=self._ops_completed / wall if wall > 0 else 0.0,

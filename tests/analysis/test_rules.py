@@ -46,10 +46,13 @@ CASES = [
     ("np_dtype_bad.py", "repro/persist/fx.py", "np-dtype", 2),
     ("np_dtype_bad.py", "repro/perf/fx.py", "np-dtype", 0),
     ("np_dtype_ok.py", "repro/core/fx.py", "np-dtype", 0),
-    # async-shared-state: lost-update flagged, atomic swap passes.
+    # async-shared-state: lost-update flagged, atomic swap passes; the same
+    # through a local alias of a self chain, and its re-read-after-await.
     ("async_state_bad.py", "repro/service/fx.py", "async-shared-state", 1),
     ("async_state_bad.py", "repro/core/fx.py", "async-shared-state", 0),
     ("async_state_ok.py", "repro/service/fx.py", "async-shared-state", 0),
+    ("async_state_alias_bad.py", "repro/service/fx.py", "async-shared-state", 1),
+    ("async_state_alias_ok.py", "repro/service/fx.py", "async-shared-state", 0),
     # fault-site: literals must exist in SITE_CATALOG.
     ("fault_site_bad.py", "repro/core/fx.py", "fault-site", 1),
     ("fault_site_ok.py", "repro/core/fx.py", "fault-site", 0),

@@ -62,6 +62,7 @@ from repro.persist import WriteAheadLog
 from repro.persist.recovery import recover
 from repro.service import (
     LANE_CLOSED,
+    LANE_OPEN,
     ServiceConfig,
     ServiceError,
     SlabHashService,
@@ -216,7 +217,7 @@ def run_chaos_program(seed: int, tmp_path) -> None:
     indeterminate: set = set()
 
     async def settle() -> None:
-        while service.pending or service._restore_tasks:
+        while service.pending or LANE_OPEN in service.lane_states:
             await asyncio.sleep(0.001)
 
     async def main() -> None:

@@ -644,10 +644,11 @@ def run_quarantine_crash_scenario(seed: int, tmp_path) -> None:
         for _ in range(5):
             await asyncio.sleep(0)
         assert service.lane_states[0] == LANE_OPEN
-        assert 0 in service._restore_tasks
+        assert service._lanes[0].restore_task is not None
         assert service.stats().breaker_trips == 1
         # Crash: every task dies mid-flight; stop() never runs.
-        tasks = list(service._restore_tasks.values()) + list(service._drain_tasks)
+        tasks = [lane.restore_task for lane in service._lanes if lane.restore_task]
+        tasks += service._drain_tasks
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)

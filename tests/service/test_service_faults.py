@@ -51,8 +51,8 @@ def make_engine(**kwargs) -> ShardedSlabHash:
 
 
 async def settle(service: SlabHashService) -> None:
-    """Wait until nothing is pending and no restore task is live."""
-    while service.pending or service._restore_tasks:
+    """Wait until nothing is pending and no lane is quarantined."""
+    while service.pending or LANE_OPEN in service.lane_states:
         await asyncio.sleep(0.001)
 
 
@@ -196,6 +196,27 @@ class TestDeadlines:
 
         asyncio.run(asyncio.wait_for(main(), timeout=10))
 
+    def test_expired_ops_do_not_inflate_mean_batch_size(self):
+        """Regression: ops that expired uncut are failed but never batched,
+        so they must not count toward the mean size of the cut batches."""
+
+        async def main():
+            config = ServiceConfig(max_batch_size=64)
+            async with SlabHashService(SlabHash(16, seed=5), config=config) as service:
+                keys = np.arange(1, 165, dtype=np.uint64)
+                ops = np.full(len(keys), C.OP_INSERT, dtype=np.int64)
+                with pytest.raises(OpDeadlineExceeded):
+                    await service.submit_many(
+                        ops[:100], keys[:100], deadline=time.perf_counter() - 1.0
+                    )
+                await service.submit_many(ops[100:], keys[100:])
+                stats = service.stats()
+                assert stats.ops_expired == 100
+                assert stats.batches_executed == 1
+                assert stats.mean_batch_size == 64.0
+
+        asyncio.run(asyncio.wait_for(main(), timeout=10))
+
     def test_generous_deadline_executes_normally(self):
         async def main():
             async with SlabHashService(make_engine(), config=FAST) as service:
@@ -325,7 +346,7 @@ class TestCircuitBreaker:
         async def main():
             service = SlabHashService(make_engine(), config=FAST)
             async with service:
-                service._lane_state[0] = LANE_OPEN
+                service._lanes[0].state = LANE_OPEN
                 keys = np.arange(1, 100, dtype=np.uint64)
                 shard0 = [
                     int(k) for k in keys if service.engine.admit_one(int(k)) == 0
@@ -334,7 +355,7 @@ class TestCircuitBreaker:
                     await service.insert(shard0[0], 1)
                 assert info.value.retryable is True
                 assert service.stats().per_shard[0].rejected_quarantined >= 1
-                service._lane_state[0] = LANE_CLOSED
+                service._lanes[0].state = LANE_CLOSED
 
         asyncio.run(asyncio.wait_for(main(), timeout=10))
 
@@ -579,7 +600,7 @@ class TestStatsFractionClamps:
                 config=ServiceConfig(max_batch_size=64, max_delay=0.0005),
             ) as service:
                 for shard in range(service.engine.num_shards):
-                    service._lane_state[shard] = LANE_OPEN
+                    service._lanes[shard].state = LANE_OPEN
                 stats = service.stats()
                 assert stats.batches_executed == 0
                 assert stats.deadline_forced_fraction == 0.0
@@ -591,7 +612,7 @@ class TestStatsFractionClamps:
                     assert lane.deadline_forced_fraction == 0.0
                     assert lane.warp_aligned_fraction == 0.0
                 for shard in range(service.engine.num_shards):
-                    service._lane_state[shard] = LANE_CLOSED
+                    service._lanes[shard].state = LANE_CLOSED
 
         asyncio.run(asyncio.wait_for(main(), timeout=30))
 
