@@ -1,34 +1,35 @@
 """Vectorized bulk-execution backend: a counter-exact NumPy fast path.
 
-The reference bulk driver (:class:`repro.core.slab_hash.SlabHash` with
-``backend="reference"``) executes warps one generator step at a time — faithful
-to the paper's warp-cooperative work sharing (Fig. 2), but the Python generator
-machinery costs microseconds per simulated memory access.  This module executes
-the same batches with batched NumPy resolution plus a compact serial replay and
-*synthesizes the exact device-counter stream* the sequential reference schedule
+Every :class:`~repro.core.slab_hash.SlabHash` batch — a bulk op is a batch
+whose operations share one op code — reaches one reference driver, which
+executes warps one generator step at a time: faithful to the paper's
+warp-cooperative work sharing (Fig. 2), but the Python generator machinery
+costs microseconds per simulated memory access.  This module executes the
+same unscheduled batches with batched NumPy resolution plus a compact serial
+replay and *synthesizes the exact device-counter stream* the reference driver
 would have produced, so the cost model, every figure, and every counter-based
-test see bit-identical numbers.  It covers both the homogeneous ``bulk_*``
-operations and — since the concurrent fast path landed — unscheduled
-``concurrent_batch`` calls (mixed insert/delete/search batches run without an
-explicit :class:`~repro.gpusim.scheduler.WarpScheduler`); scheduler-interleaved
-runs still use the reference generators, since seeded interleavings are the
+test see bit-identical numbers.  :meth:`BulkExecutor.run` picks the kernel
+from the batch's op mix: a batch of one operation type goes to that type's
+bulk kernel (insert, search or delete rank arithmetic against one snapshot),
+any other batch to the phased concurrent path.  Scheduler-interleaved batches
+always run the reference generators, since seeded interleavings are the
 whole point there.
 
 Why this is possible
 --------------------
-In the bulk ("static comparison") mode the warps are drained sequentially, and
-within a warp the WCWS work queue processes one source lane to completion
-before moving to the next (``first_set_lane`` over a shrinking ballot).  The
-schedule is therefore *strictly serial in array order*: operation ``i``
-executes fully before operation ``i + 1``, and no CAS ever fails.  Final state
+Without a scheduler the warps are drained sequentially, and within a warp
+the WCWS work queue processes one source lane to completion before moving to
+the next (``first_set_lane`` over a shrinking ballot).  A single-type batch
+is therefore *strictly serial in array order*: operation ``i`` executes
+fully before operation ``i + 1``, and no CAS ever fails.  Final state
 and per-operation results can then be resolved per bucket with sorting and
 ranking primitives, and the counters follow from closed-form per-iteration
 event profiles of the three warp procedures.
 
-The same argument extends to an unscheduled ``concurrent_batch``: the driver
-enqueues, per warp chunk, one program per operation type present (insert,
-then delete, then search) and drains them sequentially, so the mixed batch is
-strictly serial in ``(chunk, phase, lane)`` order
+The same argument extends to a mixed batch: the driver enqueues, per warp
+chunk, one program per operation type present (insert, then delete, then
+search) and drains them sequentially, so the mixed batch is strictly serial
+in ``(chunk, phase, lane)`` order
 (:func:`repro.gpusim.vectorize.phased_order`).  Because interleaved phases
 mutate the very chains later phases traverse, the concurrent path resolves
 destinations with an incremental per-bucket replay of that serial order
@@ -66,16 +67,18 @@ Unique-key (REPLACE) resolution assumes the *canonical* bucket layout that
 every public API preserves: within each bucket's scan order, EMPTY slots only
 follow occupied/tombstoned ones.  If a bucket the call touches is observed in
 a non-canonical state (only reachable by external mutation of the stores),
-the executor transparently falls back to the reference generator path for
-that call — both for ``bulk_insert`` and for ``concurrent_batch`` — which is
-correct in every state.  The scan-race hazard is per bucket, so a
-non-canonical bucket the call does not touch cannot change its outcome and
-does not force the fallback.
+the insert and concurrent kernels transparently fall back to the reference
+driver for that call, which is correct in every state.  The search and delete
+kernels only look for live occurrences, so they are exact in any layout.  The
+scan-race hazard is per bucket, so a non-canonical bucket the call does not
+touch cannot change its outcome and does not force the fallback.
 
 When SlabAlloc raises (out of memory) mid-batch, the executor mirrors the
 reference schedule's partial effects: every operation preceding the failing
 one is applied (and counted), the failing operation's traversal up to the
-failed allocation is counted, and the error propagates.
+failed allocation is counted, and the error propagates.  On both backends a
+launch reserves the warp ids of all its chunks up front, so the table's warp
+counter ends in the same place whether or not a chunk ever ran.
 """
 
 from __future__ import annotations
@@ -354,7 +357,7 @@ class _SlabMap:
 
 
 class BulkExecutor:
-    """Vectorized executor for one table's ``bulk_*`` operations.
+    """Vectorized executor for one table's unscheduled batches.
 
     Parameters
     ----------
@@ -372,7 +375,7 @@ class BulkExecutor:
     # ------------------------------------------------------------------ #
 
     def _begin_kernel(self, num_ops: int) -> Tuple[int, int]:
-        """Mirror the reference driver's kernel launch and warp-id allocation."""
+        """Mirror the reference driver's kernel launch and warp-id reservation."""
         table = self.table
         table.device.launch_kernel()
         chunks = math.ceil(num_ops / WARP_SIZE)
@@ -453,10 +456,36 @@ class BulkExecutor:
                 on_append(int(op), bucket, depth)
 
     # ------------------------------------------------------------------ #
+    # Entry point
+    # ------------------------------------------------------------------ #
+
+    def run(
+        self, op_codes: np.ndarray, keys: np.ndarray, values: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Execute one unscheduled batch, with the kernel picked by its op mix.
+
+        A batch of a single operation type runs that type's bulk kernel,
+        which resolves the whole batch against one snapshot with rank
+        arithmetic; any other batch (mixed types, or codes outside the three)
+        runs the phased concurrent path.  Both produce what the reference
+        driver produces.  Returns the per-operation results in
+        ``concurrent_batch``'s conventions.
+        """
+        if len(op_codes) and bool((op_codes == op_codes[0]).all()):
+            op = int(op_codes[0])
+            if op == C.OP_SEARCH:
+                return self._bulk_search(keys)
+            if op == C.OP_DELETE:
+                return self._bulk_delete(keys)
+            if op == C.OP_INSERT:
+                return self._bulk_insert(op_codes, keys, values)
+        return self._concurrent_batch(op_codes, keys, values)
+
+    # ------------------------------------------------------------------ #
     # SEARCH
     # ------------------------------------------------------------------ #
 
-    def bulk_search(self, queries: np.ndarray) -> np.ndarray:
+    def _bulk_search(self, queries: np.ndarray) -> np.ndarray:
         table = self.table
         cfg = table.config
         n = len(queries)
@@ -497,12 +526,12 @@ class BulkExecutor:
     # DELETE
     # ------------------------------------------------------------------ #
 
-    def bulk_delete(self, keys: np.ndarray) -> np.ndarray:
+    def _bulk_delete(self, keys: np.ndarray) -> np.ndarray:
         table = self.table
         cfg = table.config
         n = len(keys)
         base_warp, chunks = self._begin_kernel(n)
-        removed = np.zeros(n, dtype=np.int64)
+        removed = np.zeros(n, dtype=np.uint32)
         if n == 0:
             return removed
 
@@ -556,7 +585,9 @@ class BulkExecutor:
     # INSERT / REPLACE
     # ------------------------------------------------------------------ #
 
-    def bulk_insert(self, keys: np.ndarray, values: Optional[np.ndarray]) -> None:
+    def _bulk_insert(
+        self, op_codes: np.ndarray, keys: np.ndarray, values: Optional[np.ndarray]
+    ) -> np.ndarray:
         table = self.table
         buckets = table.hash_fn.hash_array(keys)
         snap = _Snapshot(table.lists, table.config, np.unique(buckets))
@@ -566,12 +597,20 @@ class BulkExecutor:
                 # this batch touches; REPLACE semantics then depend on
                 # empty-vs-match scan races that only the reference schedule
                 # resolves faithfully.
-                table._reference_bulk_insert(keys, values)
-                return
+                return table._reference_concurrent_batch(op_codes, keys, values, None, None)
             resolution = self._resolve_unique(snap, keys, buckets)
         else:
             resolution = self._resolve_duplicates(snap, buckets)
-        self._insert_resolved(keys, values, snap, resolution)
+        base_warp, chunks = self._begin_kernel(len(keys))
+        tally = CounterTally()
+        failed = self._insert_resolved(tally, _SlabMap(snap), keys, values, resolution, base_warp)
+        # One initial work-queue ballot per warp program started: after a
+        # failed append, later warps never started (generators are lazy).
+        tally.add("warp_ballots", chunks if failed is None else failed.op_index // WARP_SIZE + 1)
+        tally.commit(table.device.counters)
+        if failed is not None:
+            raise failed.error
+        return np.zeros(len(keys), dtype=np.uint32)
 
     def _resolve_unique(
         self, snap: _Snapshot, keys: np.ndarray, buckets: np.ndarray
@@ -642,20 +681,31 @@ class BulkExecutor:
 
     def _insert_resolved(
         self,
+        tally: CounterTally,
+        slab_map: _SlabMap,
         keys: np.ndarray,
         values: Optional[np.ndarray],
-        snap: _Snapshot,
         resolution: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> None:
-        table = self.table
-        cfg = table.config
-        n = len(keys)
-        base_warp, chunks = self._begin_kernel(n)
-        if n == 0:
-            return
+        base_warp: int,
+        *,
+        warp_ops: Optional[np.ndarray] = None,
+        on_append: Optional[Callable[[int, int, int], None]] = None,
+    ) -> Optional[_AppendFailed]:
+        """Append, count and write resolved insertions executed in array order.
+
+        Tallies every event of the insert programs except their initial
+        work-queue ballots, which depend on how the caller's programs are
+        laid out.  ``warp_ops`` and ``on_append`` pass through to
+        :meth:`_process_appends`.  When an append fails, the operations
+        before the failing one executed fully, the failing one traversed its
+        chain and died inside ``warp_allocate`` (whose own events the real
+        allocator already charged), and later ones never ran; the failure is
+        returned for the caller to raise after committing the tally.
+        """
+        cfg = self.table.config
         buckets, dest, consuming = resolution
-        eps = snap.eps
-        capacity = snap.chain_len * eps
+        eps = slab_map.snap.eps
+        capacity = slab_map.snap.chain_len * eps
         depth = dest // eps
 
         # A slot-consuming op whose destination is the first slot past the
@@ -668,36 +718,43 @@ class BulkExecutor:
             reads[append_ops] += 1
             decodes[append_ops] += (depth[append_ops] > 1).astype(np.int64)
 
-        slab_map = _SlabMap(snap)
-        tally = CounterTally()
+        failed: Optional[_AppendFailed] = None
         try:
-            self._process_appends(tally, slab_map, append_ops, buckets, depth, base_warp)
-        except _AppendFailed as failed:
-            self._finish_partial_insert(
-                keys, values, tally, slab_map, resolution, reads, decodes,
-                depth, base_warp, failed.op_index,
+            self._process_appends(
+                tally, slab_map, append_ops, buckets, depth, base_warp,
+                warp_ops=warp_ops, on_append=on_append,
             )
-            raise failed.error
-
-        iters = int(reads.sum())
+        except _AppendFailed as failure:
+            failed = failure
+        done = len(keys) if failed is None else failed.op_index
+        iters = int(reads[:done].sum())
         base_shuffles = 3 if cfg.key_value else 2
+        shuffles = base_shuffles * iters + (iters - done)
+        traversal_decodes = int(decodes[:done].sum())
+        if failed is not None:
+            chain = int(depth[done])  # tail depth the failing op reached
+            iters += chain
+            shuffles += (base_shuffles + 1) * chain
+            traversal_decodes += chain - 1
+            # Its last iteration issued the candidate ballot but died before
+            # the end-of-loop work-queue ballot.
+            tally.add("warp_ballots", -1)
         self._tally_traversal(
             tally,
             iter_instructions=C.REPLACE_ITER_INSTRUCTIONS,
-            chunks=chunks,
+            chunks=0,
             iters=iters,
-            decodes=int(decodes.sum()),
-            shuffles=base_shuffles * iters + (iters - n),
+            decodes=traversal_decodes,
+            shuffles=shuffles,
         )
         if cfg.key_value:
-            tally.add("atomic64", n)
+            tally.add("atomic64", done)
         else:
             # Key-only REPLACE of an already-present key is a no-op (no CAS);
             # only slot-claiming insertions issue the 32-bit CAS.
-            tally.add("atomic32", int(consuming.sum()))
-
-        self._apply_insert_writes(keys, values, slab_map, buckets, dest, consuming, None)
-        tally.commit(table.device.counters)
+            tally.add("atomic32", int(consuming[:done].sum()))
+        self._apply_insert_writes(keys, values, slab_map, buckets, dest, consuming, done)
+        return failed
 
     def _apply_insert_writes(
         self,
@@ -707,7 +764,7 @@ class BulkExecutor:
         buckets: np.ndarray,
         dest: np.ndarray,
         consuming: np.ndarray,
-        limit: Optional[int],
+        limit: int,
     ) -> None:
         """Write resolved insertions into the stores (ops ``< limit`` only).
 
@@ -717,15 +774,14 @@ class BulkExecutor:
         """
         cfg = self.table.config
         snap = slab_map.snap
-        n = len(keys) if limit is None else limit
         write_ops = (
-            np.arange(n, dtype=np.int64)
+            np.arange(limit, dtype=np.int64)
             if cfg.key_value
-            else np.flatnonzero(consuming[:n])
+            else np.flatnonzero(consuming[:limit])
         )
         if not write_ops.size:
             return
-        if bool(consuming[:n].all()) or not cfg.key_value:
+        if bool(consuming[:limit].all()) or not cfg.key_value:
             # Every written slot is distinct (slot-claiming ops claim distinct
             # slots; key-only mode writes nothing else).
             keep = write_ops
@@ -743,61 +799,11 @@ class BulkExecutor:
             writes.append((lanes + 1, values[keep]))
         slab_map.scatter(store_idx, rows, *writes)
 
-    def _finish_partial_insert(
-        self,
-        keys: np.ndarray,
-        values: Optional[np.ndarray],
-        tally: CounterTally,
-        slab_map: _SlabMap,
-        resolution: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        reads: np.ndarray,
-        decodes: np.ndarray,
-        depth: np.ndarray,
-        base_warp: int,
-        failed_op: int,
-    ) -> None:
-        """Mirror the reference schedule's partial effects of a failed append.
-
-        Operations before ``failed_op`` executed fully; ``failed_op`` itself
-        traversed its chain and died inside ``warp_allocate`` (whose own
-        events the real allocator already charged).  Later operations — and
-        later warps — never ran.
-        """
-        table = self.table
-        cfg = table.config
-        launched_chunks = failed_op // WARP_SIZE + 1
-        table._warp_counter = base_warp + launched_chunks
-        buckets, dest, consuming = resolution
-
-        prefix_iters = int(reads[:failed_op].sum())
-        chain = int(depth[failed_op])  # tail depth the failing op reached
-        base_shuffles = 3 if cfg.key_value else 2
-        self._tally_traversal(
-            tally,
-            iter_instructions=C.REPLACE_ITER_INSTRUCTIONS,
-            chunks=launched_chunks,
-            iters=prefix_iters + chain,
-            decodes=int(decodes[:failed_op].sum()) + (chain - 1),
-            shuffles=base_shuffles * (prefix_iters + chain)
-            + (prefix_iters - failed_op)
-            + chain,
-        )
-        # The failing op's last iteration issued the candidate ballot but died
-        # before the end-of-loop work-queue ballot.
-        tally.add("warp_ballots", -1)
-        if cfg.key_value:
-            tally.add("atomic64", failed_op)
-        else:
-            tally.add("atomic32", int(consuming[:failed_op].sum()))
-
-        self._apply_insert_writes(keys, values, slab_map, buckets, dest, consuming, failed_op)
-        tally.commit(table.device.counters)
-
     # ------------------------------------------------------------------ #
     # CONCURRENT MIXED BATCHES (unscheduled; Figure 7 fast path)
     # ------------------------------------------------------------------ #
 
-    def concurrent_batch(
+    def _concurrent_batch(
         self,
         op_codes: np.ndarray,
         keys: np.ndarray,
@@ -833,7 +839,7 @@ class BulkExecutor:
         buckets = table.hash_fn.hash_array(keys)
         snap = _Snapshot(table.lists, cfg, np.unique(buckets))
         if cfg.unique_keys and not snap.is_canonical():
-            # Same guard as bulk_insert: non-canonical REPLACE scan races are
+            # Same guard as _bulk_insert: non-canonical REPLACE scan races are
             # only resolved faithfully by the reference schedule.
             return table._reference_concurrent_batch(op_codes, keys, values, None, None)
 
@@ -930,66 +936,24 @@ class BulkExecutor:
 
         if pure_insert:
             rkeys = keys[replay_ops_arr]
-            rvalues = values[replay_ops_arr] if kv else None
             r_buckets = buckets[replay_ops_arr]
             if replace:
-                _, dest, consuming = self._resolve_unique(snap, rkeys, r_buckets)
+                resolution = self._resolve_unique(snap, rkeys, r_buckets)
             else:
-                _, dest, consuming = self._resolve_duplicates(snap, r_buckets)
-            depth = dest // eps
-            capacity = snap.chain_len * eps
-            append_local = np.flatnonzero(
-                consuming & (dest % eps == 0) & (dest >= capacity[r_buckets])
+                resolution = self._resolve_duplicates(snap, r_buckets)
+
+            def log_append(local: int, bucket: int, chain: int) -> None:
+                append_buckets.append(bucket)
+                append_ranks.append(replay_serial_l[local])
+
+            failed = self._insert_resolved(
+                tally, slab_map, rkeys, values[replay_ops_arr] if kv else None,
+                resolution, base_warp, warp_ops=replay_ops_arr, on_append=log_append,
             )
-            reads = depth + 1
-            decodes_arr = depth.copy()
-            if append_local.size:
-                reads[append_local] += 1
-                decodes_arr[append_local] += (depth[append_local] > 1).astype(np.int64)
+            if failed is not None:
+                error = failed.error
+                position = failed.op_index
 
-                def log_append(local: int, bucket: int, chain: int) -> None:
-                    append_buckets.append(bucket)
-                    append_ranks.append(replay_serial_l[local])
-
-                try:
-                    self._process_appends(
-                        tally, slab_map, append_local, r_buckets, depth, base_warp,
-                        warp_ops=replay_ops_arr, on_append=log_append,
-                    )
-                except _AppendFailed as failed:
-                    error = failed.error
-                    position = failed.op_index
-            if error is None:
-                iters = int(reads.sum())
-                upsert_iters += iters
-                decodes += int(decodes_arr.sum())
-                shuffles += base_sh * iters + (iters - len(rkeys))
-                if kv:
-                    atomic64 += len(rkeys)
-                else:
-                    atomic32 += int(consuming.sum())
-                self._apply_insert_writes(
-                    rkeys, rvalues, slab_map, r_buckets, dest, consuming, None
-                )
-            else:
-                # Mirror _finish_partial_insert on the concurrent tallies:
-                # operations before the failing one applied fully, the
-                # failing one traversed to its tail and died allocating.
-                chain = int(depth[position])
-                prefix_iters = int(reads[:position].sum())
-                upsert_iters += prefix_iters + chain
-                decodes += int(decodes_arr[:position].sum()) + (chain - 1)
-                shuffles += (
-                    base_sh * (prefix_iters + chain) + (prefix_iters - position) + chain
-                )
-                ballot_adjust = -1
-                if kv:
-                    atomic64 += position
-                else:
-                    atomic32 += int(consuming[:position].sum())
-                self._apply_insert_writes(
-                    rkeys, rvalues, slab_map, r_buckets, dest, consuming, position
-                )
         # Python-native views for the replay loop (plain ints and list slices
         # are much faster than NumPy scalars and per-bucket array calls).
         if pure_insert or not replay_serial.size:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:
     from repro.core.slab_hash import SlabHash
@@ -405,23 +405,6 @@ class MigrationStepResult:
     result: Optional[ResizeResult] = None  #: the whole migration, when ``done``
 
 
-def _gather_band_reference(
-    lists: SlabListCollection, lo: int, hi: int
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Live (keys, values) of buckets ``[lo, hi)`` in scan order (generator schedule)."""
-    keys: List[int] = []
-    values: List[int] = []
-    for bucket in range(lo, hi):
-        for key, value in lists.live_items(bucket):
-            keys.append(key)
-            if value is not None:
-                values.append(value)
-    out_keys = np.asarray(keys, dtype=np.uint32)
-    if not lists.config.key_value:
-        return out_keys, None
-    return out_keys, np.asarray(values, dtype=np.uint32)
-
-
 def begin_migration(
     table: SlabHash, num_buckets: int, *, trigger: str = "manual", step_buckets: Optional[int] = None
 ) -> Optional[ResizeResult]:
@@ -475,12 +458,11 @@ def begin_migration(
 def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> MigrationStepResult:
     """Move the next band of old buckets into the new array, whole and atomically.
 
-    The band's live contents are gathered host-side in scan order (the
-    vectorized backend uses the band-gather kernel in
-    :mod:`repro.core.bulk_exec`; the reference backend walks the chains —
-    identical output) and re-inserted through the table's own bulk path
-    against the *new* array, so the step's device events are charged and
-    priced like any other kernel.  On success the band's old chained slabs
+    The band's live contents are gathered host-side in scan order (with
+    :func:`~repro.core.bulk_exec.gather_band`, on either backend) and
+    re-inserted through the table's own bulk path against the *new* array,
+    so the step's device events are charged and priced like any other
+    kernel.  On success the band's old chained slabs
     go back to SlabAlloc, the old base slabs are cleared, and the watermark
     advances — the step is the atomic unit of migration progress.
 
@@ -507,10 +489,7 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
     before = device.snapshot()
     old_lists = table.lists
     old_hash = table.hash_fn
-    if table.backend == "vectorized":
-        keys, values = gather_band(old_lists, lo, hi)
-    else:
-        keys, values = _gather_band_reference(old_lists, lo, hi)
+    keys, values = gather_band(old_lists, lo, hi)
 
     was_in_resize = table._in_resize
     table._in_resize = True

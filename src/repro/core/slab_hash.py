@@ -22,6 +22,14 @@ universal hash ``h(k; a, b) = ((a*k + b) mod p) mod B``.
   scheduler (or drained on the deterministic phased schedule when no
   scheduler is given).  Used by Figure 7.
 
+The two batch levels share one driver: a bulk op is a batch whose
+operations share one op code.  Every batch is validated, split by the
+migration watermark and scattered back once (``SlabHash._run``), then runs
+either on the reference generator schedule or, on the ``"vectorized"``
+backend without a scheduler, through
+:meth:`BulkExecutor.run <repro.core.bulk_exec.BulkExecutor.run>`, which
+picks its kernel by the batch's op mix.
+
 Throughput numbers are obtained by measuring the device counters around a
 bulk/concurrent call and applying :class:`repro.gpusim.costmodel.CostModel`;
 see :mod:`repro.perf.harness`.
@@ -84,12 +92,13 @@ class SlabHash:
     seed:
         Seed for the universal hash function draw.
     backend:
-        Bulk-execution backend: ``"vectorized"`` (default; batched NumPy
+        Batch-execution backend: ``"vectorized"`` (default; batched NumPy
         resolution with exact counter synthesis, see
         :mod:`repro.core.bulk_exec`) or ``"reference"`` (the per-warp
-        generator schedule).  Covers the ``bulk_*`` operations and
-        *unscheduled* ``concurrent_batch`` calls (``scheduler=None``, the
-        deterministic phased schedule); passing an explicit
+        generator schedule).  Covers every batch — the ``bulk_*``
+        operations and *unscheduled* ``concurrent_batch`` calls
+        (``scheduler=None``, the deterministic phased schedule), with the
+        vectorized kernel chosen by the batch's op mix; passing an explicit
         :class:`~repro.gpusim.scheduler.WarpScheduler` always runs the
         reference generators, since seeded interleavings are the whole point
         there.  ``None`` picks the process-wide default
@@ -237,19 +246,6 @@ class SlabHash:
         lane[: end - start] = values[start:end]
         return lane
 
-    @staticmethod
-    def _fill_lane_array(
-        lane: np.ndarray, values: np.ndarray, start: int, end: int, fill: int
-    ) -> None:
-        """Refill a reusable lane buffer in place (hot-loop variant of _pad_lane_array).
-
-        Safe only when the previous chunk's warp program has been fully
-        drained (the sequential bulk loops); ``concurrent_batch`` keeps
-        per-warp arrays because its programs are live simultaneously.
-        """
-        lane[: end - start] = values[start:end]
-        lane[end - start :] = fill
-
     # ------------------------------------------------------------------ #
     # Migration routing (incremental resize; see repro.core.resize)
     # ------------------------------------------------------------------ #
@@ -282,10 +278,9 @@ class SlabHash:
 
     def _route_to_new(self, key_arr: np.ndarray) -> bool:
         """Single-key variant of :meth:`_migration_mask` (search_all/delete_all)."""
-        state = self.migration
-        if state is None or self._in_resize:
+        if self.migration is None or self._in_resize:
             return False
-        return int(self.hash_fn.hash_array(key_arr)[0]) < state.watermark
+        return bool(self._migration_mask(key_arr)[0])
 
     # ------------------------------------------------------------------ #
     # Single-operation convenience API
@@ -374,168 +369,18 @@ class SlabHash:
         self.bulk_insert(keys, values)
 
     def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> None:
-        """Insert a batch: one element per thread, WCWS processing per warp.
-
-        During an incremental migration the batch is split by the per-bucket
-        watermark: elements whose (old) bucket has migrated go to the new
-        array, the rest to the old one, order preserved within each part.
-        """
-        keys = self._validate_keys(keys)
-        if self.config.key_value:
-            if values is None:
-                raise ValueError("key-value mode requires a values array")
-            values = np.asarray(values, dtype=np.uint32)
-            if values.shape != keys.shape:
-                raise ValueError("keys and values must have the same length")
-        if self.migration is None or self._in_resize:
-            self._exec_bulk_insert(keys, values)
-        else:
-            mask = self._migration_mask(keys)
-            if not mask.any():
-                self._exec_bulk_insert(keys, values)
-            elif mask.all():
-                with self._routed_to_new():
-                    self._exec_bulk_insert(keys, values)
-            else:
-                old = ~mask
-                self._exec_bulk_insert(keys[old], values[old] if values is not None else None)
-                with self._routed_to_new():
-                    self._exec_bulk_insert(
-                        keys[mask], values[mask] if values is not None else None
-                    )
+        """Insert a batch: one element per thread, WCWS processing per warp."""
+        self._run(C.OP_INSERT, keys, values)
         self._auto_resize()
-
-    def _exec_bulk_insert(self, keys: np.ndarray, values: Optional[np.ndarray]) -> None:
-        if self.backend == "vectorized":
-            self._bulk_exec.bulk_insert(keys, values)
-        else:
-            self._reference_bulk_insert(keys, values)
-
-    def _reference_bulk_insert(self, keys: np.ndarray, values: Optional[np.ndarray]) -> None:
-        """The per-warp generator schedule (one legal concurrent schedule)."""
-        buckets = self.hash_fn.hash_array(keys)
-        self.device.launch_kernel()
-        op = self.lists.warp_replace if self.config.unique_keys else self.lists.warp_insert
-
-        # Lane buffers are reused across chunks: each chunk's warp program is
-        # fully drained by run_sequential before the next refill.
-        is_active = np.zeros(WARP_SIZE, dtype=bool)
-        lane_keys = np.empty(WARP_SIZE, dtype=np.uint32)
-        lane_buckets = np.zeros(WARP_SIZE, dtype=np.int64)
-        lane_values = np.empty(WARP_SIZE, dtype=np.uint32) if self.config.key_value else None
-        for start, end in self._warp_chunks(len(keys)):
-            warp = self._next_warp()
-            is_active[: end - start] = True
-            is_active[end - start :] = False
-            self._fill_lane_array(lane_keys, keys, start, end, C.EMPTY_KEY)
-            lane_buckets[: end - start] = buckets[start:end]
-            lane_buckets[end - start :] = 0
-            if self.config.key_value:
-                self._fill_lane_array(lane_values, values, start, end, C.EMPTY_VALUE)
-            run_sequential([op(warp, is_active, lane_buckets, lane_keys, lane_values)])
 
     def bulk_search(self, queries: Sequence[int]) -> np.ndarray:
-        """Search a batch of queries; returns values (or ``SEARCH_NOT_FOUND``).
-
-        During an incremental migration each query runs against the single
-        array its key currently lives in (watermark routing), and results
-        are scattered back to the original batch positions.
-        """
-        queries = self._validate_keys(queries)
-        if self.migration is None or self._in_resize:
-            return self._exec_bulk_search(queries)
-        mask = self._migration_mask(queries)
-        if not mask.any():
-            return self._exec_bulk_search(queries)
-        if mask.all():
-            with self._routed_to_new():
-                return self._exec_bulk_search(queries)
-        results = np.empty(len(queries), dtype=np.uint32)
-        old = ~mask
-        results[old] = self._exec_bulk_search(queries[old])
-        with self._routed_to_new():
-            results[mask] = self._exec_bulk_search(queries[mask])
-        return results
-
-    def _exec_bulk_search(self, queries: np.ndarray) -> np.ndarray:
-        if self.backend == "vectorized":
-            return self._bulk_exec.bulk_search(queries)
-        return self._reference_bulk_search(queries)
-
-    def _reference_bulk_search(self, queries: np.ndarray) -> np.ndarray:
-        buckets = self.hash_fn.hash_array(queries)
-        results = np.full(len(queries), C.SEARCH_NOT_FOUND, dtype=np.uint32)
-        self.device.launch_kernel()
-
-        is_active = np.zeros(WARP_SIZE, dtype=bool)
-        lane_keys = np.empty(WARP_SIZE, dtype=np.uint32)
-        lane_buckets = np.zeros(WARP_SIZE, dtype=np.int64)
-        out_values = np.empty(WARP_SIZE, dtype=np.uint32)
-        for start, end in self._warp_chunks(len(queries)):
-            warp = self._next_warp()
-            is_active[: end - start] = True
-            is_active[end - start :] = False
-            self._fill_lane_array(lane_keys, queries, start, end, C.EMPTY_KEY)
-            lane_buckets[: end - start] = buckets[start:end]
-            lane_buckets[end - start :] = 0
-            out_values[:] = C.SEARCH_NOT_FOUND
-            run_sequential(
-                [self.lists.warp_search(warp, is_active, lane_buckets, lane_keys, out_values)]
-            )
-            results[start:end] = out_values[: end - start]
-        return results
+        """Search a batch of queries; returns values (or ``SEARCH_NOT_FOUND``)."""
+        return self._run(C.OP_SEARCH, queries, None)
 
     def bulk_delete(self, keys: Sequence[int]) -> np.ndarray:
-        """Delete a batch of keys; returns per-key removed counts (0 or 1).
-
-        During an incremental migration each delete runs against the single
-        array its key currently lives in (watermark routing).
-        """
-        keys = self._validate_keys(keys)
-        if self.migration is None or self._in_resize:
-            removed = self._exec_bulk_delete(keys)
-        else:
-            mask = self._migration_mask(keys)
-            if not mask.any():
-                removed = self._exec_bulk_delete(keys)
-            elif mask.all():
-                with self._routed_to_new():
-                    removed = self._exec_bulk_delete(keys)
-            else:
-                removed = np.zeros(len(keys), dtype=np.int64)
-                old = ~mask
-                removed[old] = self._exec_bulk_delete(keys[old])
-                with self._routed_to_new():
-                    removed[mask] = self._exec_bulk_delete(keys[mask])
+        """Delete a batch of keys; returns per-key removed counts (0 or 1)."""
+        removed = self._run(C.OP_DELETE, keys, None).astype(np.int64)
         self._auto_resize()
-        return removed
-
-    def _exec_bulk_delete(self, keys: np.ndarray) -> np.ndarray:
-        if self.backend == "vectorized":
-            return self._bulk_exec.bulk_delete(keys)
-        return self._reference_bulk_delete(keys)
-
-    def _reference_bulk_delete(self, keys: np.ndarray) -> np.ndarray:
-        buckets = self.hash_fn.hash_array(keys)
-        removed = np.zeros(len(keys), dtype=np.int64)
-        self.device.launch_kernel()
-
-        is_active = np.zeros(WARP_SIZE, dtype=bool)
-        lane_keys = np.empty(WARP_SIZE, dtype=np.uint32)
-        lane_buckets = np.zeros(WARP_SIZE, dtype=np.int64)
-        out_deleted = np.empty(WARP_SIZE, dtype=np.int64)
-        for start, end in self._warp_chunks(len(keys)):
-            warp = self._next_warp()
-            is_active[: end - start] = True
-            is_active[end - start :] = False
-            self._fill_lane_array(lane_keys, keys, start, end, C.EMPTY_KEY)
-            lane_buckets[: end - start] = buckets[start:end]
-            lane_buckets[end - start :] = 0
-            out_deleted[:] = 0
-            run_sequential(
-                [self.lists.warp_delete(warp, is_active, lane_buckets, lane_keys, out_deleted)]
-            )
-            removed[start:end] = out_deleted[: end - start]
         return removed
 
     # ------------------------------------------------------------------ #
@@ -563,7 +408,7 @@ class SlabHash:
 
         When ``scheduler`` is ``None`` the warps' procedures are drained
         sequentially (one legal concurrent schedule, deterministic); on the
-        ``"vectorized"`` backend that case runs through the fast path of
+        ``"vectorized"`` backend that case runs through
         :class:`~repro.core.bulk_exec.BulkExecutor`, with bit-identical
         results, state and counters.  Passing a scheduler always executes the
         reference generators, because interleaving at memory-access
@@ -575,53 +420,63 @@ class SlabHash:
         (``SEARCH_NOT_FOUND`` if absent), 1/0 for deletions (removed or not),
         and 0 for insertions.
         """
-        op_codes = np.asarray(op_codes, dtype=np.int64)
-        keys = self._validate_keys(keys)
-        if op_codes.shape != keys.shape:
-            raise ValueError("op_codes and keys must have the same length")
-        if self.config.key_value:
-            if values is None:
-                raise ValueError("key-value mode requires a values array")
-            values = np.asarray(values, dtype=np.uint32)
-            if values.shape != keys.shape:
-                raise ValueError("keys and values must have the same length")
-
-        if self.migration is None or self._in_resize:
-            results = self._exec_concurrent(op_codes, keys, values, scheduler, wave_size)
-        else:
-            # Watermark routing: each operation runs against the single array
-            # its key lives in; relative order within each part is preserved,
-            # results are scattered back to the original batch positions.
-            mask = self._migration_mask(keys)
-            if not mask.any():
-                results = self._exec_concurrent(op_codes, keys, values, scheduler, wave_size)
-            elif mask.all():
-                with self._routed_to_new():
-                    results = self._exec_concurrent(
-                        op_codes, keys, values, scheduler, wave_size
-                    )
-            else:
-                results = np.zeros(len(keys), dtype=np.uint32)
-                old = ~mask
-                results[old] = self._exec_concurrent(
-                    op_codes[old],
-                    keys[old],
-                    values[old] if values is not None else None,
-                    scheduler,
-                    wave_size,
-                )
-                with self._routed_to_new():
-                    results[mask] = self._exec_concurrent(
-                        op_codes[mask],
-                        keys[mask],
-                        values[mask] if values is not None else None,
-                        scheduler,
-                        wave_size,
-                    )
+        results = self._run(op_codes, keys, values, scheduler, wave_size)
         self._auto_resize()
         return results
 
-    def _exec_concurrent(
+    def _run(
+        self,
+        op_codes: Union[int, Sequence[int]],
+        keys: Sequence[int],
+        values: Optional[Sequence[int]],
+        scheduler: Optional[WarpScheduler] = None,
+        wave_size: Optional[int] = None,
+    ) -> np.ndarray:
+        """Validate, route and execute one batch; every batch API ends here.
+
+        ``op_codes`` is one code per operation, or a single code for a
+        uniform bulk batch.  During an incremental migration the batch is
+        split by the per-bucket watermark: each operation runs against the
+        single array its key lives in, relative order within each part is
+        preserved (old part first), and results are scattered back to the
+        original batch positions.
+        """
+        keys = self._validate_keys(keys)
+        uniform = isinstance(op_codes, int)
+        if uniform:
+            ops = np.full(len(keys), op_codes, dtype=np.int64)
+        else:
+            ops = np.asarray(op_codes, dtype=np.int64)
+            if ops.shape != keys.shape:
+                raise ValueError("op_codes and keys must have the same length")
+        # Only a uniform search or delete batch may omit the values array.
+        needs_values = not uniform or op_codes == C.OP_INSERT
+        vals = None
+        if self.config.key_value and (values is not None or needs_values):
+            if values is None:
+                raise ValueError("key-value mode requires a values array")
+            vals = np.asarray(values, dtype=np.uint32)
+            if vals.shape != keys.shape:
+                raise ValueError("keys and values must have the same length")
+
+        if self.migration is None or self._in_resize:
+            return self._execute(ops, keys, vals, scheduler, wave_size)
+        mask = self._migration_mask(keys)
+        if not mask.any():
+            return self._execute(ops, keys, vals, scheduler, wave_size)
+        results = np.zeros(len(keys), dtype=np.uint32)
+        old = ~mask
+        if old.any():
+            results[old] = self._execute(
+                ops[old], keys[old], None if vals is None else vals[old], scheduler, wave_size
+            )
+        with self._routed_to_new():
+            results[mask] = self._execute(
+                ops[mask], keys[mask], None if vals is None else vals[mask], scheduler, wave_size
+            )
+        return results
+
+    def _execute(
         self,
         op_codes: np.ndarray,
         keys: np.ndarray,
@@ -630,7 +485,7 @@ class SlabHash:
         wave_size: Optional[int],
     ) -> np.ndarray:
         if scheduler is None and self.backend == "vectorized":
-            return self._bulk_exec.concurrent_batch(op_codes, keys, values)
+            return self._bulk_exec.run(op_codes, keys, values)
         return self._reference_concurrent_batch(op_codes, keys, values, scheduler, wave_size)
 
     def _reference_concurrent_batch(
@@ -641,13 +496,19 @@ class SlabHash:
         scheduler: Optional[WarpScheduler],
         wave_size: Optional[int],
     ) -> np.ndarray:
-        """The per-warp generator schedule of a mixed batch (any scheduler)."""
+        """The reference driver: the per-warp generator schedule of any batch.
+
+        One kernel launch reserves a warp id per 32-operation chunk; each
+        warp runs one program per operation type present (insert, delete,
+        search), and ``scheduler`` interleaves all programs (``None`` drains
+        them in that order — the bulk mode's sequential schedule).
+        """
         buckets = self.hash_fn.hash_array(keys)
         results = np.zeros(len(keys), dtype=np.uint32)
         self.device.launch_kernel()
 
         programs = []
-        collectors = []  # (kind, start, end, out_array)
+        collectors = []  # (start, end, lane mask, out_array)
         insert_op = self.lists.warp_replace if self.config.unique_keys else self.lists.warp_insert
 
         for start, end in self._warp_chunks(len(keys)):
@@ -659,7 +520,7 @@ class SlabHash:
             lane_buckets = np.zeros(WARP_SIZE, dtype=np.int64)
             lane_buckets[:span] = buckets[start:end]
             lane_values = None
-            if self.config.key_value:
+            if values is not None:
                 lane_values = self._pad_lane_array(values, start, end, C.EMPTY_VALUE)
 
             insert_mask = lane_ops == C.OP_INSERT
@@ -675,13 +536,13 @@ class SlabHash:
                 programs.append(
                     self.lists.warp_delete(warp, delete_mask, lane_buckets, lane_keys, out_deleted)
                 )
-                collectors.append(("delete", start, end, out_deleted))
+                collectors.append((start, end, delete_mask, out_deleted))
             if search_mask.any():
                 out_values = np.full(WARP_SIZE, C.SEARCH_NOT_FOUND, dtype=np.uint32)
                 programs.append(
                     self.lists.warp_search(warp, search_mask, lane_buckets, lane_keys, out_values)
                 )
-                collectors.append(("search", start, end, out_values))
+                collectors.append((start, end, search_mask, out_values))
 
         if scheduler is None:
             run_sequential(programs)
@@ -690,11 +551,9 @@ class SlabHash:
         else:
             scheduler.run(programs)
 
-        for kind, start, end, out in collectors:
+        for start, end, lane_mask, out in collectors:
             span = end - start
-            mask = (op_codes[start:end] == C.OP_DELETE) if kind == "delete" else (
-                op_codes[start:end] == C.OP_SEARCH
-            )
+            mask = lane_mask[:span]
             results[start:end][mask] = out[:span][mask].astype(np.uint32)
         return results
 

@@ -34,6 +34,7 @@ import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.core import constants as C
 from repro.core.config import SlabAllocConfig
@@ -229,7 +230,7 @@ class ShardedSlabHash:
     def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> None:
         """Route a batch of insertions to their shards and run each sub-batch."""
         keys = np.asarray(keys, dtype=np.uint64)
-        values = None if values is None else np.asarray(values, dtype=np.int64)
+        vals = None if values is None else np.asarray(values, dtype=np.int64)
         if (
             not self.router.key_partitioning
             and self.shards[0].config.unique_keys
@@ -242,32 +243,28 @@ class ShardedSlabHash:
                 "semantics for batches with repeated keys; use the hash or "
                 "range policy, or deduplicate the batch"
             )
-        parts = self._partition(keys)
-        for shard, idx in zip(self.shards, parts):
-            if idx.size:
-                shard.bulk_insert(keys[idx], None if values is None else values[idx])
+        self._per_shard(
+            keys,
+            lambda shard, idx: self.shards[shard].bulk_insert(
+                keys[idx], None if vals is None else vals[idx]
+            ),
+        )
 
     def bulk_search(self, queries: Sequence[int]) -> np.ndarray:
         """Search a batch; results are in query order, exactly as SlabHash returns them."""
         self._require_key_partitioning("bulk_search")
         queries = np.asarray(queries, dtype=np.uint64)
-        results = np.full(len(queries), C.SEARCH_NOT_FOUND, dtype=np.uint32)
-        parts = self._partition(queries)
-        for shard, idx in zip(self.shards, parts):
-            if idx.size:
-                results[idx] = shard.bulk_search(queries[idx])
-        return results
+        return self._per_shard(
+            queries, lambda shard, idx: self.shards[shard].bulk_search(queries[idx])
+        )
 
     def bulk_delete(self, keys: Sequence[int]) -> np.ndarray:
         """Delete a batch; returns per-key removed counts in key order."""
         self._require_key_partitioning("bulk_delete")
         keys = np.asarray(keys, dtype=np.uint64)
-        removed = np.zeros(len(keys), dtype=np.int64)
-        parts = self._partition(keys)
-        for shard, idx in zip(self.shards, parts):
-            if idx.size:
-                removed[idx] = shard.bulk_delete(keys[idx])
-        return removed
+        return self._per_shard(
+            keys, lambda shard, idx: self.shards[shard].bulk_delete(keys[idx]), dtype=np.int64
+        )
 
     # ------------------------------------------------------------------ #
     # Concurrent mixed batches
@@ -280,7 +277,6 @@ class ShardedSlabHash:
         values: Optional[Sequence[int]] = None,
         *,
         scheduler_seed: Optional[int] = None,
-        wave_size: Optional[int] = None,
     ) -> np.ndarray:
         """Run a mixed insert/search/delete batch across the shards.
 
@@ -299,22 +295,36 @@ class ShardedSlabHash:
         keys = np.asarray(keys, dtype=np.uint64)
         if op_codes.shape != keys.shape:
             raise ValueError("op_codes and keys must have the same length")
-        values = None if values is None else np.asarray(values, dtype=np.int64)
-        results = np.zeros(len(keys), dtype=np.uint32)
-        parts = self._partition(keys)
-        for number, (shard, idx) in enumerate(zip(self.shards, parts)):
-            if not idx.size:
-                continue
+        vals = None if values is None else np.asarray(values, dtype=np.int64)
+
+        def run(shard: int, idx: np.ndarray) -> np.ndarray:
             scheduler = None
             if scheduler_seed is not None:
-                scheduler = WarpScheduler(seed=scheduler_seed + number)
-            results[idx] = shard.concurrent_batch(
-                op_codes[idx],
-                keys[idx],
-                None if values is None else values[idx],
+                scheduler = WarpScheduler(seed=scheduler_seed + shard)
+            return self.shards[shard].concurrent_batch(
+                op_codes[idx], keys[idx], None if vals is None else vals[idx],
                 scheduler=scheduler,
-                wave_size=wave_size,
             )
+
+        return self._per_shard(keys, run)
+
+    def _per_shard(
+        self,
+        keys: np.ndarray,
+        run: Callable[[int, np.ndarray], Optional[np.ndarray]],
+        dtype: DTypeLike = np.uint32,
+    ) -> np.ndarray:
+        """Call ``run(shard index, positions)`` for each non-empty partition of ``keys``.
+
+        Every position belongs to exactly one shard, so the returned array
+        holds each part's results scattered back to stream order.
+        """
+        results = np.zeros(len(keys), dtype=dtype)
+        for shard, idx in enumerate(self._partition(keys)):
+            if idx.size:
+                part = run(shard, idx)
+                if part is not None:
+                    results[idx] = part
         return results
 
     # ------------------------------------------------------------------ #

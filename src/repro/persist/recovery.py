@@ -4,11 +4,11 @@ The service's durability contract is *checkpoint + log*: a snapshot captures
 the engine bit-identically at some batch boundary, the WAL holds every batch
 executed since, and :func:`recover` reproduces the pre-crash state by
 restoring the snapshot and re-executing the logged batches exactly as the
-drain loop did — same batch boundaries, same (recorded) batch indices for
-scheduler seeding, same between-batch ``maybe_resize()`` call.  Because
-every execution path in the simulator is deterministic given state and
-inputs, the recovered table matches a never-crashed run to the last device
-counter; the crash-point harness in ``tests/proptest`` asserts exactly that.
+drain loop did — same batch boundaries, same between-batch
+``maybe_resize()`` call.  Because every execution path in the simulator is
+deterministic given state and inputs, the recovered table matches a
+never-crashed run to the last device counter; the crash-point harness in
+``tests/proptest`` asserts exactly that.
 
 A torn final record (crash mid-append) is discarded by the WAL reader; its
 batch never resolved any futures, so dropping it is the correct
@@ -36,7 +36,6 @@ import numpy as np
 from repro.core.slab_hash import SlabHash
 from repro.engine.sharded import ShardedSlabHash
 from repro.gpusim.counters import StatsRecord
-from repro.gpusim.scheduler import WarpScheduler
 from repro.persist.snapshot import load, wal_floor
 from repro.persist.wal import WalRecord, read_records
 
@@ -71,18 +70,11 @@ class RecoveryReport(StatsRecord):
     records_aborted: int = 0  #: logged batches skipped because they were aborted
 
 
-def replay_record(
-    engine: Union[SlabHash, ShardedSlabHash],
-    record: WalRecord,
-    *,
-    scheduler_seed: Optional[int] = None,
-    wave_size: Optional[int] = None,
-) -> bool:
+def replay_record(engine: Union[SlabHash, ShardedSlabHash], record: WalRecord) -> bool:
     """Re-execute one logged batch exactly as the service drain loop did.
 
     Mirrors ``SlabHashService._execute`` *including its failure tolerance*:
-    the batch runs through ``concurrent_batch`` (seeded per recorded batch
-    index when the service was configured with a scheduler seed); a batch
+    the batch runs unscheduled through ``concurrent_batch``; a batch
     that raises — e.g. deterministic allocator exhaustion that failed the
     same batch's futures in the live run, leaving its partial state — is
     tolerated and, like the live loop, skips the between-batch resize.
@@ -104,26 +96,7 @@ def replay_record(
     )
     values = record.values if key_value else None
     try:
-        if isinstance(engine, ShardedSlabHash):
-            engine.concurrent_batch(
-                record.op_codes,
-                record.keys,
-                values,
-                scheduler_seed=(
-                    None if scheduler_seed is None else scheduler_seed + record.batch_index
-                ),
-                wave_size=wave_size,
-            )
-        else:
-            scheduler = (
-                None
-                if scheduler_seed is None
-                else WarpScheduler(seed=scheduler_seed + record.batch_index)
-            )
-            engine.concurrent_batch(
-                record.op_codes, record.keys, values,
-                scheduler=scheduler, wave_size=wave_size,
-            )
+        engine.concurrent_batch(record.op_codes, record.keys, values)
     except Exception:  # noqa: BLE001 - the live loop failed this batch and served on
         return False
     try:
@@ -145,17 +118,12 @@ def recover(
     snapshot_path: str,
     wal_path: Optional[str] = None,
     *,
-    scheduler_seed: Optional[int] = None,
-    wave_size: Optional[int] = None,
     extra_aborted: Optional[Iterable[int]] = None,
 ) -> Tuple[Union[SlabHash, ShardedSlabHash], RecoveryReport]:
     """Restore ``snapshot_path`` and replay the complete records of ``wal_path``.
 
-    ``scheduler_seed`` / ``wave_size`` must match the crashed service's
-    :class:`~repro.service.service.ServiceConfig` (both default to ``None``,
-    the deterministic phased schedule).  Returns the recovered table/engine
-    and a :class:`RecoveryReport`; a missing or empty WAL means the snapshot
-    alone is the recovered state.
+    Returns the recovered table/engine and a :class:`RecoveryReport`; a
+    missing or empty WAL means the snapshot alone is the recovered state.
 
     Records whose ``batch_index`` lies below the snapshot's WAL floor
     (:func:`~repro.persist.snapshot.wal_floor`) are skipped: a crash in the
@@ -210,9 +178,7 @@ def recover(
         if record.batch_index in aborted_indices:
             aborted += 1
             continue
-        clean = replay_record(
-            engine, record, scheduler_seed=scheduler_seed, wave_size=wave_size
-        )
+        clean = replay_record(engine, record)
         replayed += 1
         ops += len(record)
         if not clean:

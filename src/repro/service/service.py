@@ -27,9 +27,9 @@ concurrent design):
   *before* any of them executes, so durability cost amortizes while the
   write-ahead contract and recovery replay semantics stay unchanged.
 
-Batches run on whatever bulk-execution backend the engine was built with;
-with the default ``"vectorized"`` backend and no scheduler seed, every
-batch takes the concurrent fast path of :mod:`repro.core.bulk_exec`.
+Batches run unscheduled on whatever bulk-execution backend the engine was
+built with; with the default ``"vectorized"`` backend every batch runs
+through :class:`~repro.core.bulk_exec.BulkExecutor`.
 
 Measurement is built in: per-operation wall-clock latency percentiles
 (:mod:`repro.perf.latency`, recorded as per-chunk runs, not per-op floats)
@@ -97,7 +97,6 @@ from repro.core.slab_hash import SlabHash
 from repro.engine.sharded import ShardedSlabHash
 from repro.faults import FaultPlan, InjectedFault
 from repro.gpusim.counters import StatsRecord
-from repro.gpusim.scheduler import WarpScheduler
 from repro.perf.latency import LatencyRecorder, LatencyReport
 from repro.perf.metrics import measure_phase
 from repro.persist.wal import WriteAheadLog
@@ -140,19 +139,6 @@ class ServiceConfig:
     max_delay:
         Longest time (seconds) an operation may wait in its shard's log for
         co-batching before a ragged (non-warp-aligned) flush is forced.
-    scheduler_seed:
-        When given, every batch runs under a seeded
-        :class:`~repro.gpusim.scheduler.WarpScheduler` — seed advanced per
-        WAL batch index plus shard, exactly as recovery replay re-derives
-        it — true interleaved execution through the reference generators.
-        ``None`` (default) uses the deterministic phased schedule, which the
-        vectorized backend executes on its fast path.
-    wave_size:
-        Bound on concurrently live warps under a scheduler (ignored
-        without ``scheduler_seed``).
-    measure_device_time:
-        Also collect the modelled device time of every executed batch
-        (adds one counter snapshot per batch).
     max_pending_per_shard:
         Admission budget: most operations one shard's log may hold.  An
         admission that would push a target shard past it fails fast with a
@@ -168,9 +154,6 @@ class ServiceConfig:
 
     max_batch_size: int = 1024
     max_delay: float = 0.002
-    scheduler_seed: Optional[int] = None
-    wave_size: Optional[int] = None
-    measure_device_time: bool = True
     max_pending_per_shard: Optional[int] = None
     breaker_threshold: int = 3
 
@@ -785,18 +768,6 @@ class SlabHashService:
         for entry in staged:
             self._execute(entry)
 
-    def _scheduler_for(self, shard: int, batch_index: int) -> Optional[WarpScheduler]:
-        """Scheduler for one batch, or ``None`` for the phased schedule.
-
-        Mirrors recovery replay exactly: ShardedSlabHash.concurrent_batch
-        seeds shard ``s`` with (seed + batch_index) + s; a single table is
-        seeded with seed + batch_index.
-        """
-        seed = self.config.scheduler_seed
-        if seed is None:
-            return None
-        return WarpScheduler(seed=seed + batch_index + (shard if self._sharded else 0))
-
     def _execute(self, entry: _StagedBatch) -> None:
         batch = entry.batch
         table = self._shards[entry.shard]
@@ -813,25 +784,16 @@ class SlabHashService:
                 return
 
         def run() -> None:
-            holder["results"] = table.concurrent_batch(
-                batch.op_codes,
-                batch.keys,
-                batch.values,
-                scheduler=self._scheduler_for(entry.shard, entry.batch_index),
-                wave_size=self.config.wave_size,
-            )
+            holder["results"] = table.concurrent_batch(batch.op_codes, batch.keys, batch.values)
 
         try:
-            if self.config.measure_device_time:
-                measurement = measure_phase(
-                    table.device,
-                    run,
-                    num_ops=len(batch),
-                    label=f"service batch {entry.batch_index} (shard {entry.shard})",
-                )
-                self._lanes[entry.shard].modelled_seconds += measurement.seconds
-            else:
-                run()
+            measurement = measure_phase(
+                table.device,
+                run,
+                num_ops=len(batch),
+                label=f"service batch {entry.batch_index} (shard {entry.shard})",
+            )
+            self._lanes[entry.shard].modelled_seconds += measurement.seconds
             results = holder["results"]
         except Exception as exc:  # noqa: BLE001 - a failed batch fails its slices
             self._reject_batch(entry, exc, dirty=True)
@@ -992,8 +954,6 @@ class SlabHashService:
         engine, _report = _recover(
             self._checkpoint_path,
             None if self.wal is None else self.wal.path,
-            scheduler_seed=self.config.scheduler_seed,
-            wave_size=self.config.wave_size,
             extra_aborted=self._aborted_indices,
         )
         if self._sharded:
@@ -1101,20 +1061,13 @@ class SlabHashService:
         final record is discarded — its futures never resolved; aborted
         batches are skipped), and returns a *not yet started* service over
         the recovered engine that continues appending to the same log with
-        contiguous batch numbering.  The ``config`` must match the crashed
-        service's (the scheduler seed participates in replay determinism).
-        The recovered service remembers the snapshot as its checkpoint, so
+        contiguous batch numbering.  The recovered service remembers the snapshot as its checkpoint, so
         quarantine restores work immediately.
         """
         from repro.persist.recovery import recover as _recover
 
         config = config or ServiceConfig()
-        engine, report = _recover(
-            snapshot_path,
-            None if wal is None else wal.path,
-            scheduler_seed=config.scheduler_seed,
-            wave_size=config.wave_size,
-        )
+        engine, report = _recover(snapshot_path, None if wal is None else wal.path)
         service = cls(engine, config=config, wal=wal, faults=faults)
         service._batch_index = report.next_batch_index
         service._checkpoint_path = snapshot_path

@@ -2,16 +2,17 @@
 
 An *unscheduled* ``concurrent_batch`` (``scheduler=None``) drains one warp
 program per (chunk, phase) sequentially — a deterministic schedule — so the
-vectorized backend resolves it with the phased replay in
-:meth:`repro.core.bulk_exec.BulkExecutor.concurrent_batch` and promises *bit
-identical* behaviour to the reference generators: same result arrays, same
-final table state (every slab word, chain link, allocator bookkeeping, warp
-ids) and the same device counters event for event.  These tests drive paired
-tables through mixed insert/delete/search batches sweeping the paper's Gamma
-distributions, all four (key_value x unique_keys) modes, both allocator
-variants, warp-boundary batch sizes, conflicting same-key operations,
-allocator growth/exhaustion, the sharded engine, and the documented
-fallbacks (explicit schedulers, non-canonical layouts).
+vectorized backend resolves it through
+:meth:`repro.core.bulk_exec.BulkExecutor.run` (the phased replay for mixed
+batches) and promises *bit identical* behaviour to the reference generators:
+same result arrays, same final table state (every slab word, chain link,
+allocator bookkeeping, warp ids) and the same device counters event for
+event.  These tests drive paired tables through mixed insert/delete/search
+batches sweeping the paper's Gamma distributions, all four (key_value x
+unique_keys) modes, both allocator variants, warp-boundary batch sizes,
+conflicting same-key operations, allocator growth/exhaustion, the sharded
+engine, the documented fallbacks (explicit schedulers, non-canonical
+layouts), and the identity of each bulk op with a single-op-type batch.
 """
 
 from __future__ import annotations
@@ -297,6 +298,67 @@ class TestAllocatorInteraction:
         assert_same_state(reference, vectorized)
 
 
+class TestUniformBatchIdentity:
+    """A bulk op is a concurrent batch whose operations share one op code."""
+
+    BULK = {
+        C.OP_INSERT: lambda table, keys, values: table.bulk_insert(keys, values),
+        C.OP_DELETE: lambda table, keys, values: table.bulk_delete(keys),
+        C.OP_SEARCH: lambda table, keys, values: table.bulk_search(keys),
+    }
+
+    @staticmethod
+    def twins(backend, key_value, unique_keys, alloc_config):
+        return tuple(
+            SlabHash(
+                3, backend=backend, key_value=key_value, unique_keys=unique_keys,
+                alloc_config=alloc_config, seed=71,
+            )
+            for _ in range(2)
+        )
+
+    def run_pair(self, bulk, batch, op, keys):
+        values = keys * np.uint32(3) if bulk.config.key_value else None
+        out_bulk = self.BULK[op](bulk, keys, values)
+        out_batch = batch.concurrent_batch(np.full(len(keys), op), keys, values)
+        if out_bulk is None:
+            assert not out_batch.any()
+        else:
+            assert np.array_equal(out_bulk, out_batch)
+        assert_same_state(bulk, batch)
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("key_value", [True, False])
+    @pytest.mark.parametrize("unique_keys", [True, False])
+    def test_bulk_ops_equal_uniform_concurrent_batches(self, backend, key_value, unique_keys):
+        bulk, batch = self.twins(backend, key_value, unique_keys, SMALL_ALLOC)
+        rng = np.random.default_rng(73)
+        for op, size in [
+            (C.OP_INSERT, 500), (C.OP_SEARCH, 300), (C.OP_DELETE, 250),
+            (C.OP_INSERT, 130), (C.OP_SEARCH, 0), (C.OP_DELETE, 77), (C.OP_SEARCH, 400),
+        ]:
+            keys = rng.integers(1, 450, size).astype(np.uint32)  # repeated keys
+            self.run_pair(bulk, batch, op, keys)
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("key_value", [True, False])
+    @pytest.mark.parametrize("unique_keys", [True, False])
+    def test_exhaustion_mid_batch_reserves_every_chunk(self, backend, key_value, unique_keys):
+        exhaustible = SlabAllocConfig(1, 1, 32, growth_threshold=10_000, max_super_blocks=1)
+        bulk, batch = self.twins(backend, key_value, unique_keys, exhaustible)
+        keys = np.random.default_rng(79).choice(2**24, 2000, replace=False).astype(np.uint32)
+        values = keys * np.uint32(3) if key_value else None
+        with pytest.raises(AllocationError):
+            bulk.bulk_insert(keys, values)
+        with pytest.raises(AllocationError):
+            batch.concurrent_batch(np.full(len(keys), C.OP_INSERT), keys, values)
+        assert len(bulk.items()) > 0
+        assert_same_state(bulk, batch)
+        # The launch reserved the warp ids of all its 63 chunks, also of
+        # those that never ran.
+        assert bulk._warp_counter == 63
+
+
 class TestShardedEngine:
     @pytest.mark.parametrize("policy", ["hash", "range"])
     def test_sharded_concurrent_batches_are_equivalent(self, policy):
@@ -363,14 +425,13 @@ class TestFallbacks:
             table.lists.base_slabs[holed, 0] = C.EMPTY_KEY
             table.lists.base_slabs[holed, 1] = C.EMPTY_VALUE
         fallbacks = []
-        for name in ("_reference_concurrent_batch", "_reference_bulk_insert"):
-            original = getattr(vectorized, name)
+        original = vectorized._reference_concurrent_batch
 
-            def spy(*args, _name=name, _original=original):
-                fallbacks.append(_name)
-                return _original(*args)
+        def spy(*args):
+            fallbacks.append(args[0].tolist())
+            return original(*args)
 
-            monkeypatch.setattr(vectorized, name, spy)
+        monkeypatch.setattr(vectorized, "_reference_concurrent_batch", spy)
 
         rng = np.random.default_rng(53)
         probe = rng.integers(1, 400, 400).astype(np.uint32)
@@ -384,16 +445,24 @@ class TestFallbacks:
         assert_same_state(reference, vectorized)
         assert fallbacks == []
 
-        # Searches leave the hole in place for the bulk_insert check below.
-        op_codes = np.full(len(probe), C.OP_SEARCH, dtype=np.int64)
+        # An all-search batch runs the bulk_search kernel, exact in any
+        # layout, so it never falls back even when it touches the hole.
+        searches = np.full(len(probe), C.OP_SEARCH, dtype=np.int64)
+        run_concurrent_both(reference, vectorized, searches, probe, probe)
+        assert fallbacks == []
+
+        # A mixed search/delete batch touching the hole falls back; deletions
+        # only tombstone, so the hole stays for the bulk_insert check below.
+        op_codes = np.where(rng.random(len(probe)) < 0.5, C.OP_SEARCH, C.OP_DELETE)
         run_concurrent_both(reference, vectorized, op_codes, probe, probe)
-        assert fallbacks == ["_reference_concurrent_batch"]
+        assert len(fallbacks) == 1 and set(fallbacks[0]) == {C.OP_SEARCH, C.OP_DELETE}
+        assert vectorized.lists.base_slabs[holed, 0] == C.EMPTY_KEY
         touching = np.arange(2000, 2100, dtype=np.uint32)
         assert (vectorized.hash_fn.hash_array(touching) == holed).any()
         reference.bulk_insert(touching, touching)
         vectorized.bulk_insert(touching, touching)
         assert_same_state(reference, vectorized)
-        assert fallbacks == ["_reference_concurrent_batch", "_reference_bulk_insert"]
+        assert len(fallbacks) == 2 and set(fallbacks[1]) == {C.OP_INSERT}
 
     def test_wave_size_without_scheduler_is_ignored_on_both_backends(self):
         reference, vectorized = table_pair(num_buckets=2, alloc_config=SMALL_ALLOC, seed=49)

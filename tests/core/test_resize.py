@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import constants as C
+from repro.core.bulk_exec import gather_band
 from repro.core.config import SlabAllocConfig
 from repro.core.resize import LoadFactorPolicy, resize_table
 from repro.core.slab_alloc import SlabAlloc
@@ -131,6 +133,40 @@ class TestResizeEquivalence:
         assert table.num_buckets == buckets_before
         assert sorted(table.items()) == items_before
         assert np.array_equal(table.bulk_search(keys), keys.astype(np.uint32))
+
+
+class TestGatherBand:
+    """The migration's band gather equals the per-bucket ``live_items`` walk."""
+
+    @pytest.mark.parametrize("key_value", [True, False])
+    @pytest.mark.parametrize("unique_keys", [True, False])
+    def test_matches_live_items_over_random_bands(self, key_value, unique_keys):
+        rng = np.random.default_rng(61)
+        table = SlabHash(
+            7, alloc_config=ALLOC, seed=61, key_value=key_value, unique_keys=unique_keys
+        )
+        keys = rng.integers(1, 400, 900).astype(np.uint32)  # repeats: duplicates mode
+        values = keys * np.uint32(5) if key_value else None
+        table.bulk_insert(keys, values)
+        # Deletions leave tombstones (unique keys) or EMPTY slots that the
+        # next insertions recycle mid-chain (duplicates).
+        table.bulk_delete(rng.choice(keys, 300))
+        refill = rng.integers(400, 600, 120).astype(np.uint32)
+        table.bulk_insert(refill, refill * np.uint32(5) if key_value else None)
+
+        lists = table.lists
+        slots = lists.chain_table().words()[:, list(table.config.key_lanes)]
+        assert (lists.slab_counts() > 1).all()  # every bucket chains
+        assert (slots == C.DELETED_KEY).any() == unique_keys
+        for _ in range(20):
+            lo, hi = sorted(rng.integers(0, lists.num_lists + 1, 2).tolist())
+            got_keys, got_values = gather_band(lists, lo, hi)
+            walk = [item for bucket in range(lo, hi) for item in lists.live_items(bucket)]
+            assert got_keys.tolist() == [key for key, _ in walk]
+            if key_value:
+                assert got_values.tolist() == [value for _, value in walk]
+            else:
+                assert got_values is None
 
 
 class TestResizeAccounting:

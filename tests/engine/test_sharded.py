@@ -271,12 +271,8 @@ class TestSerialDeterminism:
         stream = np.concatenate([keys[:256], keys[:128], keys[64:192]])
         stream_values = np.concatenate([values[:256], values[:128], values[64:192]])
         first, second = self.make_twins()
-        out_first = first.concurrent_batch(
-            op_codes, stream, stream_values, scheduler_seed=77, wave_size=64
-        )
-        out_second = second.concurrent_batch(
-            op_codes, stream, stream_values, scheduler_seed=77, wave_size=64
-        )
+        out_first = first.concurrent_batch(op_codes, stream, stream_values, scheduler_seed=77)
+        out_second = second.concurrent_batch(op_codes, stream, stream_values, scheduler_seed=77)
         assert np.array_equal(out_first, out_second)
         assert_same_state(first, second)
 

@@ -658,12 +658,7 @@ def run_quarantine_crash_scenario(seed: int, tmp_path) -> None:
 
     # Recovery uses only what is durable on disk — the poison batch's WAL
     # record is neutralised by its abort marker, not by in-memory state.
-    recovered, report = recover(
-        snap,
-        wal_path,
-        scheduler_seed=config.scheduler_seed,
-        wave_size=config.wave_size,
-    )
+    recovered, report = recover(snap, wal_path)
     assert report.records_aborted >= 1
     assert sorted(model.items()) == sorted(
         (int(k), int(v)) for k, v in recovered.items()

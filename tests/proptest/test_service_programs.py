@@ -138,17 +138,15 @@ def generate_program(seed: int, num_waves: int = 8) -> list:
     return program
 
 
-def run_program(seed: int, kind: str, tmp_path, scheduler_seed=None) -> None:
+def run_program(seed: int, kind: str, tmp_path) -> None:
     program = generate_program(seed)
-    workdir = tmp_path / f"{kind}-{seed}-{scheduler_seed}"
+    workdir = tmp_path / f"{kind}-{seed}"
     workdir.mkdir()
     snap = str(workdir / "snap")
     wal_path = str(workdir / "ops.wal")
 
     impl = fresh_impl(kind)
-    config = ServiceConfig(
-        max_batch_size=128, max_delay=0.0005, scheduler_seed=scheduler_seed
-    )
+    config = ServiceConfig(max_batch_size=128, max_delay=0.0005)
     wal = WriteAheadLog(wal_path)
     service = SlabHashService(impl, config=config, wal=wal)
     model: dict = {}
@@ -212,9 +210,7 @@ def run_program(seed: int, kind: str, tmp_path, scheduler_seed=None) -> None:
     # Recovery reference: snapshot + group-committed WAL tail must rebuild
     # exactly these contents (checkpoint floors skip covered batches).
     wal.close()
-    recovered, report = recover(
-        snap, wal_path, scheduler_seed=scheduler_seed
-    )
+    recovered, report = recover(snap, wal_path)
     assert sorted((int(k), int(v)) for k, v in recovered.items()) == live_items, (
         f"seed {seed} {kind}: recovery from the last checkpoint diverged "
         f"(replayed {report.records_replayed} records)"
@@ -225,14 +221,6 @@ def run_program(seed: int, kind: str, tmp_path, scheduler_seed=None) -> None:
 @pytest.mark.parametrize("seed", _seeds())
 def test_random_service_programs_match_model_and_recovery(seed, kind, tmp_path):
     run_program(seed, kind, tmp_path)
-
-
-def test_seeded_scheduler_program_matches_model_and_recovery(tmp_path):
-    """The replay-parity configuration: every batch runs under a seeded
-    WarpScheduler (seed advanced per commit-time batch index plus shard),
-    and recovery re-derives the same schedules from the WAL."""
-    run_program(PINNED_SEEDS[0], "engine", tmp_path, scheduler_seed=9)
-    run_program(PINNED_SEEDS[0], "table", tmp_path, scheduler_seed=9)
 
 
 def test_generated_programs_are_deterministic_and_mixed():

@@ -255,16 +255,3 @@ class TestStatsAndBatching:
             assert stats.deadline_forced_batches == 0
 
         asyncio.run(main())
-
-    def test_scheduler_seeded_service_still_correct(self):
-        async def main():
-            engine = make_engine()
-            keys = unique_random_keys(300, seed=41)
-            engine.bulk_build(keys, values_for_keys(keys))
-            config = ServiceConfig(max_batch_size=128, max_delay=0.0005, scheduler_seed=7)
-            async with SlabHashService(engine, config=config) as service:
-                assert await service.search(int(keys[0])) == int(
-                    values_for_keys(keys[:1])[0]
-                )
-
-        asyncio.run(main())

@@ -656,7 +656,7 @@ class TestSerialExecution:
                 load_factor_policy=LoadFactorPolicy(min_buckets=2),
             )
             # max_delay=0: batch cuts depend only on the op stream.
-            config = ServiceConfig(max_delay=0.0, scheduler_seed=17, wave_size=64)
+            config = ServiceConfig(max_delay=0.0)
             wal = WriteAheadLog(str(wal_path))
             try:
                 async with SlabHashService(engine, config=config, wal=wal) as service:

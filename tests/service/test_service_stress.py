@@ -168,9 +168,8 @@ def test_soak_mixed_submissions_match_models_and_nothing_is_lost(seed):
 
 
 def test_soak_under_scheduler_seed_still_matches_the_model():
-    """A smaller soak through seeded interleaved execution (the replay-parity
-    configuration): per-shard drains must agree with the model even when
-    every batch runs under a WarpScheduler."""
+    """A smaller soak on a two-shard engine: per-shard drains must agree
+    with the model."""
 
     async def main() -> None:
         engine = ShardedSlabHash.for_utilization(2, 4_096, 0.6, seed=13)
@@ -179,7 +178,7 @@ def test_soak_under_scheduler_seed_still_matches_the_model():
             _BulkClient(index, np.random.default_rng(root.integers(2**63)))
             for index in range(6)
         ]
-        config = ServiceConfig(max_batch_size=256, max_delay=0.001, scheduler_seed=5)
+        config = ServiceConfig(max_batch_size=256, max_delay=0.001)
         service = SlabHashService(engine, config=config)
         async with service:
             await asyncio.gather(*[client.run(service) for client in clients])
