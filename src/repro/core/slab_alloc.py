@@ -35,11 +35,14 @@ allocator stores each super block's 64-bit base pointer in shared memory, so
 every address decode on a lookup path costs one shared-memory read; the
 *light* variant (:class:`repro.core.slab_alloc_light.SlabAllocLight`) places
 all super blocks in one contiguous array and skips that read at the price of a
-4 GB capacity limit.
+4 GB capacity limit.  In this simulator both variants keep the same storage
+(one array per super block); the light layout's contiguity is modelled only in
+:meth:`SlabAlloc.charge_address_decode`.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -112,9 +115,11 @@ class SlabAlloc:
         self._bitmaps: List[np.ndarray] = [
             self._new_bitmap() for _ in range(self.num_super_blocks)
         ]
-        #: Lazily materialized unit storage, one contiguous zero-backed array
-        #: per super block (matching the CUDA code's one cudaMalloc per super
-        #: block).  Rows are ``block * units_per_block + unit``; keeping every
+        #: Lazily materialized unit storage, one contiguous array per super
+        #: block over an anonymous no-huge-page mapping (matching the CUDA
+        #: code's one cudaMalloc per super block; see _super_store), so
+        #: physical memory follows the slabs handed out one base page at a
+        #: time.  Rows are ``block * units_per_block + unit``; keeping every
         #: slab of a super block in ONE ndarray keeps the store lists that
         #: gather_views hands to the vectorized backend short, where
         #: per-memory-block arrays fragmented them into hundreds of stores.
@@ -170,12 +175,13 @@ class SlabAlloc:
 
             self.device.counters.allocations += 1
             self._allocated_units += 1
-            # Hand the slab out reading all-EMPTY.  Unit storage is backed by
-            # lazily materialized zero pages (see _super_store), so the empty
-            # pattern is written per 128-byte slab at allocation time instead
-            # of per block at first touch — a warp's resident block hashes
-            # anywhere in the pool, so eager whole-block fills made nearly
-            # every allocation fault in fresh pages.
+            # Hand the slab out reading all-EMPTY.  Unit storage starts as
+            # untouched zero pages (see _super_store), so the empty pattern
+            # is written per 128-byte slab at allocation time; the write
+            # faults in at most the one base page (4 KiB) that holds the
+            # slab.  A warp's resident block hashes anywhere in the pool, so
+            # an eager whole-block fill would fault in fresh pages on nearly
+            # every allocation.
             self._super_store(state.super_block)[self._row(state.block, unit)] = C.EMPTY_KEY
             return addr.make_address(state.super_block, state.block, unit)
 
@@ -416,17 +422,24 @@ class SlabAlloc:
     def _super_store(self, super_block: int) -> np.ndarray:
         store = self._super_stores.get(super_block)
         if store is None:
-            # Zero-backed (calloc) so materializing a super block costs no
-            # page touches; physical pages fault in only for units actually
-            # used.  The EMPTY_KEY pattern every reader expects is written
-            # per slab by warp_allocate when the unit is handed out.
-            store = np.zeros(
-                (
-                    self.config.num_memory_blocks * self.config.units_per_block,
-                    self.slab_words,
-                ),
-                dtype=np.uint32,
-            )
+            # One anonymous mapping per store: the kernel hands out zero
+            # pages lazily, and MADV_NOHUGEPAGE keeps each first touch to a
+            # single base page (4 KiB), whatever the host's THP mode.
+            # (np.zeros is covered by NumPy's huge-page hint, so under THP
+            # ``madvise`` one slab write there faults in and zeroes a whole
+            # 2 MiB page.)  The array keeps the mapping alive; it is unmapped
+            # when the last view goes.
+            rows = self.config.num_memory_blocks * self.config.units_per_block
+            mapping = mmap.mmap(-1, rows * self.slab_words * 4)
+            no_huge_pages = getattr(mmap, "MADV_NOHUGEPAGE", None)
+            if no_huge_pages is not None:
+                try:
+                    mapping.madvise(no_huge_pages)
+                except OSError:
+                    # A kernel built without THP rejects the advice (EINVAL);
+                    # it has no huge pages to opt out of.
+                    pass
+            store = np.frombuffer(mapping, dtype=np.uint32).reshape(rows, self.slab_words)
             self._super_stores[super_block] = store
         return store
 

@@ -8,6 +8,11 @@ contiguous array so a single global base pointer suffices: address decoding
 becomes pure arithmetic, at the price of scalability (at most ~4 GB of slabs,
 versus ~1 TB for the regular layout).
 
+In this simulator the storage is the same for both variants (one array per
+super block, see :class:`repro.core.slab_alloc.SlabAlloc`); the contiguity is
+modelled only in :meth:`~repro.core.slab_alloc.SlabAlloc.charge_address_decode`,
+which charges the light decode one instruction instead of a shared-memory read.
+
 The paper reports up to a 25 % search-rate improvement from the light variant
 in lookup-heavy scenarios; the ablation benchmark
 ``benchmarks/bench_ablations.py::test_slaballoc_light_search_gain`` reproduces
@@ -28,7 +33,7 @@ LIGHT_CAPACITY_BYTES = 4 * 1024**3
 
 
 class SlabAllocLight(SlabAlloc):
-    """SlabAlloc with contiguous super blocks and free address decoding."""
+    """SlabAlloc that models one contiguous pool: address decoding is free."""
 
     def __init__(
         self,

@@ -1,5 +1,12 @@
 """Tests for SlabAlloc: bitmap allocation, resident changes, deallocation, growth."""
 
+import json
+import mmap
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,3 +277,139 @@ class TestSlabAllocLight:
         warp = Warp(0, device.counters)
         addresses = [light.warp_allocate(warp) for _ in range(50)]
         assert len(set(addresses)) == 50
+
+
+def _numpy_madvise_hugepage():
+    core = getattr(np, "_core", None) or np.core
+    return core.multiarray._get_madvise_hugepage()
+
+
+class TestUnitStores:
+    def test_fresh_store_is_a_zeroed_uint32_matrix(self):
+        _, alloc = make_alloc(ns=2, nm=8, nu=64)
+        store = alloc._super_store(1)
+        assert store.dtype == np.uint32
+        assert store.shape == (8 * 64, C.SLAB_WORDS)
+        assert store.flags["C_CONTIGUOUS"] and store.flags["WRITEABLE"]
+        assert not store.any()
+        assert alloc._super_store(1) is store  # one store per super block
+
+    def test_store_rows_are_block_times_units_plus_unit(self):
+        device, alloc = make_alloc(ns=2, nm=8, nu=64)
+        address = alloc.warp_allocate(Warp(5, device.counters))
+        super_block, block, unit = decode_address(address)
+        store, row = alloc.slab_view(address)
+        assert store is alloc._super_store(super_block)
+        assert row == block * 64 + unit
+        untouched = np.delete(store, row, axis=0)
+        assert np.all(store[row] == C.EMPTY_KEY) and not untouched.any()
+
+    @pytest.mark.parametrize("grow", [False, True])
+    def test_export_restore_round_trip_is_byte_identical(self, grow):
+        if grow:
+            config = SlabAllocConfig(1, 2, 32, growth_threshold=2, max_super_blocks=8)
+        else:
+            config = SlabAllocConfig(2, 8, 64)
+        device = Device()
+        alloc = SlabAlloc(device, config, seed=1)
+        warp = Warp(0, device.counters)
+        addresses = [alloc.warp_allocate(warp) for _ in range(100)]
+        assert (alloc.num_super_blocks > config.num_super_blocks) == grow
+        for index, address in enumerate(addresses):
+            store, row = alloc.slab_view(address)
+            store[row] = np.arange(C.SLAB_WORDS, dtype=np.uint32) + 100 * index
+        for address in addresses[::3]:
+            alloc.deallocate(warp, address)
+        exported = alloc.export_units()
+
+        twin = SlabAlloc(Device(), config, seed=1)
+        twin.restore_units(*exported, num_super_blocks=alloc.num_super_blocks)
+        restored = twin.export_units()
+        assert twin.num_super_blocks == alloc.num_super_blocks
+        for original, copy in zip(exported, restored):
+            assert original.dtype == copy.dtype and original.shape == copy.shape
+            assert original.tobytes() == copy.tobytes()
+
+    def test_store_is_built_when_the_kernel_rejects_the_advice(self, monkeypatch):
+        # Kernels without THP answer MADV_NOHUGEPAGE with EINVAL, as they
+        # answer any advice value they do not know.
+        monkeypatch.setattr(mmap, "MADV_NOHUGEPAGE", 9999, raising=False)
+        device, alloc = make_alloc()
+        store, row = alloc.slab_view(alloc.warp_allocate(Warp(0, device.counters)))
+        assert np.all(store[row] == C.EMPTY_KEY)
+
+    def test_numpy_huge_page_flag_is_left_alone(self):
+        before = _numpy_madvise_hugepage()
+        device, alloc = make_alloc()
+        alloc.warp_allocate(Warp(0, device.counters))
+        assert _numpy_madvise_hugepage() == before
+
+
+# Runs in a fresh interpreter so that no other allocator's mappings share
+# (or merge into) the VMAs that back this allocator's stores.
+_STORE_MEMORY_PROBE = textwrap.dedent(
+    """
+    import json, mmap, re
+    from repro.core.slab_alloc import SlabAlloc
+    from repro.gpusim.device import Device
+    from repro.gpusim.warp import Warp
+
+    device = Device()
+    alloc = SlabAlloc(device, seed=1)
+    for warp_id in range(2000):
+        alloc.warp_allocate(Warp(warp_id, device.counters))
+    ranges = [(s.ctypes.data, s.ctypes.data + s.nbytes) for s in alloc._super_stores.values()]
+
+    vmas, current = [], None
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            head = re.match(r"([0-9a-f]+)-([0-9a-f]+) ", line)
+            if head:
+                current = {"start": int(head[1], 16), "end": int(head[2], 16)}
+                vmas.append(current)
+            else:
+                key, _, value = line.partition(":")
+                current[key] = value.split()
+    overlapping = [
+        v for v in vmas if any(v["start"] < end and start < v["end"] for start, end in ranges)
+    ]
+    print(json.dumps({
+        "slabs": alloc.allocated_units,
+        "stores": len(ranges),
+        "vmas": len(overlapping),
+        "rss_kb": sum(int(v["Rss"][0]) for v in overlapping),
+        "page_kb": mmap.PAGESIZE // 1024,
+        "anon_huge_kb": sum(int(v["AnonHugePages"][0]) for v in overlapping),
+        "without_nh": sum("nh" not in v["VmFlags"] for v in overlapping),
+    }))
+    """
+)
+
+
+_HAS_SMAPS_AND_THP = os.path.exists("/proc/self/smaps") and os.path.exists(
+    "/sys/kernel/mm/transparent_hugepage"
+)
+
+
+@pytest.mark.skipif(
+    not _HAS_SMAPS_AND_THP,
+    reason="needs Linux /proc/self/smaps and transparent huge pages",
+)
+def test_store_memory_tracks_allocated_slabs():
+    """Resident memory of the unit stores grows by base pages, never huge pages."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", _STORE_MEMORY_PROBE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    probe = json.loads(out.stdout.strip().splitlines()[-1])
+    assert probe["slabs"] == 2000
+    assert probe["stores"] == SlabAllocConfig().num_super_blocks
+    assert probe["vmas"] >= 1
+    assert probe["anon_huge_kb"] == 0
+    assert probe["without_nh"] == 0
+    # At most one page per slab written, with one page per store to spare.
+    assert probe["rss_kb"] <= (probe["slabs"] + probe["stores"]) * probe["page_kb"]
