@@ -138,29 +138,33 @@ def set_default_backend(name: str) -> None:
 
 def gather_band(
     lists: "SlabListCollection", lo: int, hi: int
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
     """Vectorized migration kernel: live contents of buckets ``[lo, hi)``.
 
-    Returns ``(keys, values)`` in bucket scan order — the exact order the
-    reference generator schedule observes when walking the same band with
+    Returns ``(keys, values, chained)``.  ``keys`` and ``values`` are in
+    bucket scan order — the exact order the reference generator schedule
+    observes when walking the same band with
     :meth:`~repro.core.slab_list.SlabListCollection.live_items` — with
-    ``values`` ``None`` in key-only mode.  One grouped gather over the
-    band's slabs (a :class:`~repro.core.slab_list.ChainTable` of the band's
-    buckets only), no Python loop per slab, so the cost is O(band), not
-    O(table).  Host-side and uncounted, like the other snapshot scans; the
-    *re-insertion* of the band is what the migration charges to the device,
-    through the regular bulk path.
+    ``values`` ``None`` in key-only mode.  ``chained`` holds the addresses of
+    the band's allocated (non-base) slabs, ordered by bucket, then by chain
+    depth: the slabs a migration releases once the band has moved.  One
+    grouped gather over the band's slabs (a
+    :class:`~repro.core.slab_list.ChainTable` of the band's buckets only), no
+    Python loop per slab, so the cost is O(band), not O(table).  Host-side
+    and uncounted, like the other snapshot scans; the *re-insertion* of the
+    band is what the migration charges to the device, through the regular
+    bulk path.
     """
     cfg = lists.config
-    words = lists.chain_table(np.arange(lo, hi, dtype=np.int64)).words()
+    table = lists.chain_table(np.arange(lo, hi, dtype=np.int64))
+    words = table.words()
     key_lanes = np.fromiter(cfg.key_lanes, dtype=np.int64)
     keys = words[:, key_lanes]
     live = (keys != C.EMPTY_KEY) & (keys != C.DELETED_KEY)
     rows, cols = np.nonzero(live)
     out_keys = keys[rows, cols]
-    if not cfg.key_value:
-        return out_keys, None
-    return out_keys, words[rows, key_lanes[cols] + 1]
+    out_values = words[rows, key_lanes[cols] + 1] if cfg.key_value else None
+    return out_keys, out_values, table.allocated_addresses()
 
 
 class _AppendFailed(Exception):
@@ -254,39 +258,41 @@ class _Snapshot:
 
 
 class _SlabMap:
-    """Resolves (bucket, chain depth) to a writable (store, row) location.
+    """Resolves (bucket, chain depth) to a slab address.
 
     Starts from the snapshot's ChainTable and grows as the executor appends
-    slabs, so end-of-call writes can be scattered per store with fancy
-    indexing.
+    slabs, so end-of-call writes can be scattered in two groups: base slabs
+    (row ``bucket`` of the base-slab array) and arena slabs (by address).
     """
 
     def __init__(self, snap: _Snapshot) -> None:
         self.snap = snap
-        self.stores: List[np.ndarray] = list(snap.ct.stores)
-        self._store_ids = {id(store): index for index, store in enumerate(self.stores)}
-        #: (bucket, depth) -> (store index, row)
-        self.appended_by_bucket: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self._appended_cache = None
+        #: (bucket, depth) -> address of an appended slab
+        self.appended_by_bucket: Dict[Tuple[int, int], int] = {}
+        self._appended_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    def register_append(self, bucket: int, depth: int, store: np.ndarray, row: int) -> None:
-        key = id(store)
-        if key not in self._store_ids:
-            self._store_ids[key] = len(self.stores)
-            self.stores.append(store)
-        self.appended_by_bucket[(bucket, depth)] = (self._store_ids[key], row)
-        self._appended_cache = None
+    def append(self, bucket: int, depth: int, address: int) -> None:
+        """Link the new slab ``address`` at ``depth`` of ``bucket``'s chain.
 
-    def location(self, bucket: int, depth: int) -> Tuple[np.ndarray, int]:
+        Writes its address into the tail slab (at ``depth - 1``) and records
+        it for later lookups.
+        """
+        ct = self.snap.ct
         chain = int(self.snap.chain_len[bucket])
-        if depth < chain:
-            flat = int(self.snap.offsets[bucket]) + depth
-            return self.stores[int(self.snap.ct.store_idx[flat])], int(self.snap.ct.rows[flat])
-        store_idx, row = self.appended_by_bucket[(bucket, depth)]
-        return self.stores[store_idx], row
+        if depth - 1 < chain:
+            tail = int(ct.addresses[int(self.snap.offsets[bucket]) + depth - 1])
+        else:
+            tail = self.appended_by_bucket[(bucket, depth - 1)]
+        if tail == C.BASE_SLAB:
+            ct.base_slabs[bucket, C.ADDRESS_LANE] = address
+        else:
+            store, row = ct.alloc.slab_view(tail)
+            store[row, C.ADDRESS_LANE] = address
+        self.appended_by_bucket[(bucket, depth)] = address
+        self._appended_cache = None
 
-    def _appended_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(per-bucket offsets, store_idx, rows) of appended slabs, depth-sorted.
+    def _appended_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(per-bucket offsets, addresses) of appended slabs, depth-sorted.
 
         A bucket's appended slabs occupy consecutive depths starting at its
         original chain length, so sorting by (bucket, depth) makes them
@@ -297,63 +303,42 @@ class _SlabMap:
             buckets = np.fromiter((key[0] for key, _ in entries), np.int64, len(entries))
             offsets = np.zeros(self.snap.num_buckets + 1, dtype=np.int64)
             np.cumsum(np.bincount(buckets, minlength=self.snap.num_buckets), out=offsets[1:])
-            self._appended_cache = (
-                offsets,
-                np.fromiter((loc[0] for _, loc in entries), np.int64, len(entries)),
-                np.fromiter((loc[1] for _, loc in entries), np.int64, len(entries)),
-            )
+            addresses = np.fromiter((address for _, address in entries), np.int64, len(entries))
+            self._appended_cache = (offsets, addresses)
         return self._appended_cache
-
-    def locations(self, buckets: np.ndarray, depths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`location` over arrays (existing and appended slabs)."""
-        store_idx = np.empty(len(buckets), dtype=np.int64)
-        rows = np.empty(len(buckets), dtype=np.int64)
-        in_chain = depths < self.snap.chain_len[buckets]
-        flat = self.snap.offsets[buckets[in_chain]] + depths[in_chain]
-        store_idx[in_chain] = self.snap.ct.store_idx[flat]
-        rows[in_chain] = self.snap.ct.rows[flat]
-        appended = ~in_chain
-        if appended.any():
-            offsets, app_store_idx, app_rows = self._appended_arrays()
-            app_buckets = buckets[appended]
-            index = offsets[app_buckets] + depths[appended] - self.snap.chain_len[app_buckets]
-            store_idx[appended] = app_store_idx[index]
-            rows[appended] = app_rows[index]
-        return store_idx, rows
 
     def scatter(
         self,
-        store_idx: np.ndarray,
-        rows: np.ndarray,
+        buckets: np.ndarray,
+        depths: np.ndarray,
         *writes: Tuple[np.ndarray, np.ndarray],
     ) -> None:
-        """Apply one or more (lanes, values) write sets at the given slots.
+        """Apply one or more (lanes, values) write sets at slabs ``(buckets, depths)``.
 
-        Writes sharing slot coordinates (e.g. key lane and value lane) are
-        passed together so the store grouping is computed once.
+        Writes sharing slab coordinates (e.g. key lane and value lane) are
+        passed together so the slabs are resolved once.
         """
-        if len(store_idx) == 0:
-            return
-        # Most writes land in the dominant store (the base slabs); peel that
-        # majority off with one mask and sort only the remainder.
-        majority = store_idx[0]
-        in_majority = store_idx == majority
-        select = np.flatnonzero(in_majority) if not in_majority.all() else slice(None)
-        store = self.stores[int(majority)]
-        for lanes, values in writes:
-            store[rows[select], lanes[select]] = values[select].astype(np.uint32, copy=False)
-        if isinstance(select, slice):
-            return
-        rest = np.flatnonzero(~in_majority)
-        order = rest[np.argsort(store_idx[rest], kind="stable")]
-        sorted_idx = store_idx[order]
-        starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-        bounds = np.append(starts, len(sorted_idx))
-        for group in range(len(starts)):
-            chosen = order[bounds[group] : bounds[group + 1]]
-            store = self.stores[int(sorted_idx[bounds[group]])]
+        snap = self.snap
+        addresses = np.empty(len(buckets), dtype=np.int64)
+        in_chain = depths < snap.chain_len[buckets]
+        addresses[in_chain] = snap.ct.addresses[snap.offsets[buckets[in_chain]] + depths[in_chain]]
+        appended = ~in_chain
+        if appended.any():
+            offsets, app_addresses = self._appended_arrays()
+            app_buckets = buckets[appended]
+            addresses[appended] = app_addresses[
+                offsets[app_buckets] + depths[appended] - snap.chain_len[app_buckets]
+            ]
+        base = addresses == C.BASE_SLAB
+        if base.all():
             for lanes, values in writes:
-                store[rows[chosen], lanes[chosen]] = values[chosen].astype(np.uint32, copy=False)
+                snap.ct.base_slabs[buckets, lanes] = values
+            return
+        at_base = np.flatnonzero(base)
+        in_arena = np.flatnonzero(~base)
+        for lanes, values in writes:
+            snap.ct.base_slabs[buckets[at_base], lanes[at_base]] = values[at_base]
+            snap.ct.alloc.write_slabs(addresses[in_arena], values[in_arena], lanes[in_arena])
 
 
 class BulkExecutor:
@@ -448,10 +433,7 @@ class BulkExecutor:
             except AllocationError as error:
                 raise _AppendFailed(int(op), error) from error
             tally.add("atomic32", 1)
-            tail_store, tail_row = slab_map.location(bucket, depth - 1)
-            tail_store[tail_row, C.ADDRESS_LANE] = np.uint32(address)
-            store, row = table.alloc.slab_view(address)
-            slab_map.register_append(bucket, depth, store, row)
+            slab_map.append(bucket, depth, address)
             if on_append is not None:
                 on_append(int(op), bucket, depth)
 
@@ -558,7 +540,6 @@ class BulkExecutor:
         tombstone = C.DELETED_KEY if cfg.unique_keys else C.EMPTY_KEY
         slab_map = _SlabMap(snap)
         bucket_f = buckets[found]
-        store_idx, rows = slab_map.locations(bucket_f, depth)
         lanes = snap.key_lanes[pos % snap.eps]
         words_per_delete = 1
         writes = [(lanes, np.full(found_count, tombstone, np.uint32))]
@@ -566,7 +547,7 @@ class BulkExecutor:
             # Recycled slots must read as a full EMPTY_PAIR (cf. _mark_deleted).
             words_per_delete = 2
             writes.append((lanes + 1, np.full(found_count, C.EMPTY_VALUE, np.uint32)))
-        slab_map.scatter(store_idx, rows, *writes)
+        slab_map.scatter(bucket_f, depth, *writes)
 
         tally = CounterTally()
         self._tally_traversal(
@@ -791,13 +772,11 @@ class BulkExecutor:
             order = np.argsort(slot_ids, kind="stable")[::-1]
             keep = write_ops[order[run_starts(slot_ids[order])]]
 
-        keep_depth = dest[keep] // snap.eps
-        store_idx, rows = slab_map.locations(buckets[keep], keep_depth)
         lanes = snap.key_lanes[dest[keep] % snap.eps]
         writes = [(lanes, keys[keep])]
         if cfg.key_value:
             writes.append((lanes + 1, values[keep]))
-        slab_map.scatter(store_idx, rows, *writes)
+        slab_map.scatter(buckets[keep], dest[keep] // snap.eps, *writes)
 
     # ------------------------------------------------------------------ #
     # CONCURRENT MIXED BATCHES (unscheduled; Figure 7 fast path)
@@ -1071,10 +1050,7 @@ class BulkExecutor:
                         error = failure
                         break
                     atomic32 += 1  # the pointer-append CAS (cannot fail)
-                    tail_store, tail_row = slab_map.location(bucket, chain - 1)
-                    tail_store[tail_row, C.ADDRESS_LANE] = np.uint32(address)
-                    store, row = table.alloc.slab_view(address)
-                    slab_map.register_append(bucket, chain, store, row)
+                    slab_map.append(bucket, chain, address)
                     append_buckets.append(bucket)
                     append_ranks.append(replay_serial_l[position])
                     slots.extend([empty] * eps)
@@ -1250,6 +1226,5 @@ class BulkExecutor:
         order = np.argsort(slot_ids, kind="stable")[::-1]
         keep = order[run_starts(slot_ids[order])]
         buckets, pos, words = buckets[keep], pos[keep], words[keep]
-        store_idx, rows = slab_map.locations(buckets, pos // snap.eps)
         lanes = snap.key_lanes[pos % snap.eps] + lane_offset
-        slab_map.scatter(store_idx, rows, (lanes, words))
+        slab_map.scatter(buckets, pos // snap.eps, (lanes, words))

@@ -46,8 +46,6 @@ from typing import TYPE_CHECKING, List, Optional
 if TYPE_CHECKING:
     from repro.core.slab_hash import SlabHash
 
-import numpy as np
-
 from repro.core import constants as C
 from repro.core.bulk_exec import gather_band
 from repro.core.slab_list import SlabListCollection
@@ -251,18 +249,6 @@ class ResizeStats(StatsRecord):
         self.modelled_seconds += result.seconds
 
 
-def _chained_addresses(
-    lists: SlabListCollection, buckets: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Addresses of the allocated (non-base) slabs in ``lists``.
-
-    Restricted to ``buckets`` (sorted, unique) when given; ordered by bucket,
-    then by chain depth.
-    """
-    addresses = lists.chain_table(buckets).addresses
-    return addresses[addresses != C.BASE_SLAB]
-
-
 def resize_table(table: SlabHash, num_buckets: int, *, trigger: str = "manual") -> ResizeResult:
     """Rebuild ``table`` into a bucket array of ``num_buckets`` base slabs.
 
@@ -301,9 +287,8 @@ def resize_table(table: SlabHash, num_buckets: int, *, trigger: str = "manual") 
     # Host-side snapshot of the live contents, in bucket scan order (the
     # order delete/search_all traverse, so duplicate-key semantics survive).
     old_lists = table.lists
-    keys, values = gather_band(old_lists, 0, old_lists.num_lists)
+    keys, values, old_chained = gather_band(old_lists, 0, old_lists.num_lists)
     old_hash = table.hash_fn
-    old_chained = _chained_addresses(old_lists)
 
     table.lists = SlabListCollection(device, table.alloc, num_buckets, table.config)
     table.hash_fn = old_hash.rebucket(num_buckets)
@@ -316,7 +301,7 @@ def resize_table(table: SlabHash, num_buckets: int, *, trigger: str = "manual") 
     except Exception:
         # Strong guarantee: tear the partial new array down, restore the old.
         warp = table._next_warp()
-        for address in _chained_addresses(table.lists):
+        for address in table.lists.chain_table().allocated_addresses():
             table.alloc.deallocate(warp, int(address))
         table.lists = old_lists
         table.hash_fn = old_hash
@@ -489,7 +474,10 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
     before = device.snapshot()
     old_lists = table.lists
     old_hash = table.hash_fn
-    keys, values = gather_band(old_lists, lo, hi)
+    # The band's chains stay as they are until the band has moved (its
+    # re-insertion allocates only in the new array), so the walk that
+    # gathers the keys also names the slabs to release.
+    keys, values, band_chained = gather_band(old_lists, lo, hi)
 
     was_in_resize = table._in_resize
     table._in_resize = True
@@ -510,7 +498,6 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
         table.hash_fn = old_hash
         table._in_resize = was_in_resize
 
-    band_chained = _chained_addresses(old_lists, np.arange(lo, hi, dtype=np.int64))
     if band_chained.size:
         warp = table._next_warp()
         for address in band_chained.tolist():

@@ -35,13 +35,19 @@ allocator stores each super block's 64-bit base pointer in shared memory, so
 every address decode on a lookup path costs one shared-memory read; the
 *light* variant (:class:`repro.core.slab_alloc_light.SlabAllocLight`) places
 all super blocks in one contiguous array and skips that read at the price of a
-4 GB capacity limit.  In this simulator both variants keep the same storage
-(one array per super block); the light layout's contiguity is modelled only in
+4 GB capacity limit.  In this simulator both variants keep the same storage,
+the *slab arena*: the super blocks stored contiguously, one mapping per growth
+step (so at most four with the default configuration, and one until the
+allocator first grows).  A slab's row is plain address arithmetic, and the
+host-side vectorized reads and writes (:meth:`SlabAlloc.read_slabs`,
+:meth:`SlabAlloc.write_slabs`) loop only over those few mappings.  The device
+cost of a decode is modelled separately, in
 :meth:`SlabAlloc.charge_address_decode`.
 """
 
 from __future__ import annotations
 
+import bisect
 import mmap
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -110,20 +116,20 @@ class SlabAlloc:
         self.light = bool(light)
 
         #: Current number of super blocks (grows up to config.max_super_blocks).
-        self.num_super_blocks = self.config.num_super_blocks
+        self.num_super_blocks = 0
         #: Bitmap storage, one (num_memory_blocks, 32) array per super block.
-        self._bitmaps: List[np.ndarray] = [
-            self._new_bitmap() for _ in range(self.num_super_blocks)
-        ]
-        #: Lazily materialized unit storage, one contiguous array per super
-        #: block over an anonymous no-huge-page mapping (matching the CUDA
-        #: code's one cudaMalloc per super block; see _super_store), so
-        #: physical memory follows the slabs handed out one base page at a
-        #: time.  Rows are ``block * units_per_block + unit``; keeping every
-        #: slab of a super block in ONE ndarray keeps the store lists that
-        #: gather_views hands to the vectorized backend short, where
-        #: per-memory-block arrays fragmented them into hundreds of stores.
-        self._super_stores: Dict[int, np.ndarray] = {}
+        self._bitmaps: List[np.ndarray] = []
+        #: The slab arena: unit storage for every super block, stored
+        #: contiguously in one anonymous no-huge-page mapping per growth step
+        #: (see _add_super_blocks), so physical memory follows the slabs
+        #: handed out one base page at a time.  Segment ``i`` starts at super
+        #: block ``_segment_first[i]``; a slab's row in it is
+        #: ``((super_block - first) * num_memory_blocks + block) *
+        #: units_per_block + unit``.  Growth appends a segment and never moves
+        #: one: a reference warp program holds a slab_view across yields,
+        #: while another warp's allocation may grow the pool.
+        self._arena: List[np.ndarray] = []
+        self._segment_first: List[int] = []
         #: Per-warp resident blocks.
         self._resident: Dict[int, ResidentBlock] = {}
         #: The same residents grouped by ``(super_block, block)`` (each group
@@ -135,6 +141,7 @@ class SlabAlloc:
         #: Optional fault hook (a :class:`repro.faults.FaultPlan` or scoped
         #: view); consulted at the ``alloc.warp_allocate`` site when set.
         self.faults = None
+        self._add_super_blocks(self.config.num_super_blocks)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -175,14 +182,15 @@ class SlabAlloc:
 
             self.device.counters.allocations += 1
             self._allocated_units += 1
-            # Hand the slab out reading all-EMPTY.  Unit storage starts as
-            # untouched zero pages (see _super_store), so the empty pattern
+            # Hand the slab out reading all-EMPTY.  The arena starts as
+            # untouched zero pages (see _new_segment), so the empty pattern
             # is written per 128-byte slab at allocation time; the write
             # faults in at most the one base page (4 KiB) that holds the
             # slab.  A warp's resident block hashes anywhere in the pool, so
             # an eager whole-block fill would fault in fresh pages on nearly
             # every allocation.
-            self._super_store(state.super_block)[self._row(state.block, unit)] = C.EMPTY_KEY
+            store, row = self._location(state.super_block, state.block, unit)
+            store[row] = C.EMPTY_KEY
             return addr.make_address(state.super_block, state.block, unit)
 
     def deallocate(self, warp: Warp, address: int) -> None:
@@ -201,9 +209,8 @@ class SlabAlloc:
         self._allocated_units -= 1
 
         # Recycle the unit as an empty slab (the CUDA code memsets pools).
-        store = self._super_stores.get(super_block)
-        row = self._row(block, unit)
-        if store is not None and np.any(store[row] != C.EMPTY_KEY):
+        store, row = self._location(super_block, block, unit)
+        if np.any(store[row] != C.EMPTY_KEY):
             self.mem.write_slab(store, row, np.full(self.slab_words, C.EMPTY_KEY, np.uint32))
 
         # Invalidate any stale register caches of this word held by warps
@@ -216,39 +223,50 @@ class SlabAlloc:
                 resident.cached_bitmap[lane] &= clear
 
     def slab_view(self, address: int) -> Tuple[np.ndarray, int]:
-        """Return ``(unit_store, row)`` such that ``unit_store[row]`` is the slab's words."""
+        """Return ``(unit_store, row)`` such that ``unit_store[row]`` is the slab's words.
+
+        ``unit_store`` is the arena segment holding the slab; it stays valid
+        (and in place) when the allocator grows.
+        """
         super_block, block, unit = addr.decode_address(address)
         self._check_bounds(super_block, block, unit)
-        return self._super_store(super_block), self._row(block, unit)
+        return self._location(super_block, block, unit)
 
-    def gather_views(self, addresses: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
-        """Vectorized :meth:`slab_view`: resolve many 32-bit addresses at once.
+    def read_slabs(self, addresses: np.ndarray, lane: Optional[int] = None) -> np.ndarray:
+        """Vectorized :meth:`slab_view` read: the words of the slabs at ``addresses``.
 
-        Returns ``(stores, store_idx, rows)`` where slab ``i`` lives at
-        ``stores[store_idx[i]][rows[i]]``.  Host-side (uncounted) — used by the
-        vectorized bulk backend and the table introspection helpers.
+        Returns a ``(len(addresses), slab_words)`` matrix, or the ``(len(addresses),)``
+        words of one ``lane``.  One gather per arena segment.  Host-side
+        (uncounted), like the other introspection helpers.
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        units = addresses & ((1 << addr.UNIT_BITS) - 1)
-        blocks = (addresses >> addr.UNIT_BITS) & ((1 << addr.BLOCK_BITS) - 1)
-        supers = (addresses >> (addr.UNIT_BITS + addr.BLOCK_BITS)) & (
-            (1 << addr.SUPER_BLOCK_BITS) - 1
-        )
-        if addresses.size:
-            if int(supers.max()) >= self.num_super_blocks:
-                raise AllocationError("gather_views: super block out of range")
-            if int(blocks.max()) >= self.config.num_memory_blocks:
-                raise AllocationError("gather_views: memory block out of range")
-            if int(units.max()) >= self.config.units_per_block:
-                raise AllocationError("gather_views: memory unit out of range")
-        stores: List[np.ndarray] = []
-        store_idx = np.empty(len(addresses), dtype=np.int64)
-        rows = blocks * self.config.units_per_block + units
-        for super_block in np.unique(supers):
-            mask = supers == super_block
-            store_idx[mask] = len(stores)
-            stores.append(self._super_store(int(super_block)))
-        return stores, store_idx, rows
+        segments, rows = self._arena_rows(addresses)
+        columns = slice(None) if lane is None else lane
+        if segments is None:
+            return self._arena[0][rows, columns]
+        shape = (len(rows), self.slab_words) if lane is None else (len(rows),)
+        out = np.empty(shape, dtype=np.uint32)
+        for index, segment in enumerate(self._arena):
+            chosen = segments == index
+            out[chosen] = segment[rows[chosen], columns]
+        return out
+
+    def write_slabs(
+        self, addresses: np.ndarray, values: np.ndarray, lanes: Optional[np.ndarray] = None
+    ) -> None:
+        """Vectorized write into the slabs at ``addresses``; host-side, uncounted.
+
+        Writes whole slabs (``values`` is ``(len(addresses), slab_words)``),
+        or, with ``lanes``, the one word ``values[i]`` at lane ``lanes[i]`` of
+        slab ``addresses[i]``.  One scatter per arena segment.
+        """
+        segments, rows = self._arena_rows(addresses)
+        values = np.asarray(values, dtype=np.uint32)
+        for index, segment in enumerate(self._arena):
+            chosen = slice(None) if segments is None else segments == index
+            if lanes is None:
+                segment[rows[chosen]] = values[chosen]
+            else:
+                segment[rows[chosen], lanes[chosen]] = values[chosen]
 
     def charge_address_decode(self) -> None:
         """Charge the cost of turning a 32-bit layout into a 64-bit pointer.
@@ -304,13 +322,7 @@ class SlabAlloc:
         addresses = (
             np.sort(np.concatenate(per_super)) if per_super else np.empty(0, np.int64)
         )
-        words = np.empty((len(addresses), self.slab_words), dtype=np.uint32)
-        if len(addresses):
-            stores, store_idx, rows = self.gather_views(addresses)
-            for index, store in enumerate(stores):
-                mask = store_idx == index
-                words[mask] = store[rows[mask]]
-        return addresses.astype(np.uint32), words
+        return addresses.astype(np.uint32), self.read_slabs(addresses)
 
     def restore_units(
         self,
@@ -337,9 +349,12 @@ class SlabAlloc:
                     f"cannot shrink the allocator to {num_super_blocks} super blocks "
                     f"(configured with {self.num_super_blocks})"
                 )
+            # Grow in the steps _grow takes (doubling), one arena segment
+            # each, so a restored allocator has the original's layout.
             while self.num_super_blocks < num_super_blocks:
-                self._bitmaps.append(self._new_bitmap())
-                self.num_super_blocks += 1
+                self._add_super_blocks(
+                    min(self.num_super_blocks, num_super_blocks - self.num_super_blocks)
+                )
         addresses = np.asarray(addresses, dtype=np.int64)
         words = np.asarray(words, dtype=np.uint32)
         if words.shape != (len(addresses), self.slab_words):
@@ -352,17 +367,13 @@ class SlabAlloc:
             return
         if np.unique(addresses).size != addresses.size:
             raise AllocationError("restore_units: duplicate addresses in input")
+        # Vectorized mirror of export_units: scatter the slab words into the
+        # arena (which rejects any address outside the pool), then set the
+        # bitmap bits per super block.
+        self.write_slabs(addresses, words)
         units = addresses & ((1 << addr.UNIT_BITS) - 1)
         blocks = (addresses >> addr.UNIT_BITS) & ((1 << addr.BLOCK_BITS) - 1)
         supers = addresses >> (addr.UNIT_BITS + addr.BLOCK_BITS)
-        if (
-            int(supers.max()) >= self.num_super_blocks
-            or int(blocks.max()) >= self.config.num_memory_blocks
-            or int(units.max()) >= self.config.units_per_block
-        ):
-            raise AllocationError("restore_units: address out of range")
-        # Vectorized mirror of export_units: set the bitmap bits per super
-        # block, then scatter the slab words per (super block, memory block).
         lanes, bits = np.divmod(units, 32)
         for super_block in np.unique(supers):
             mask = supers == super_block
@@ -371,10 +382,6 @@ class SlabAlloc:
                 (blocks[mask], lanes[mask]),
                 (np.uint32(1) << bits[mask].astype(np.uint32)),
             )
-        for super_block in np.unique(supers):
-            mask = supers == super_block
-            store = self._super_store(int(super_block))
-            store[blocks[mask] * self.config.units_per_block + units[mask]] = words[mask]
         self._allocated_units = len(addresses)
 
     # ------------------------------------------------------------------ #
@@ -415,33 +422,64 @@ class SlabAlloc:
             bitmap[:, usable_words:] = _FULL_WORD
         return bitmap
 
-    def _row(self, block: int, unit: int) -> int:
-        """Flat row of ``(block, unit)`` within its super block's store."""
-        return block * self.config.units_per_block + unit
+    def _add_super_blocks(self, count: int) -> None:
+        """Add ``count`` super blocks: their bitmaps and one arena segment."""
+        rows = count * self.config.units_per_super_block
+        # One anonymous mapping per segment: the kernel hands out zero pages
+        # lazily, so reserving the segment costs no memory, and
+        # MADV_NOHUGEPAGE keeps each first touch to a single base page
+        # (4 KiB), whatever the host's THP mode.  (np.zeros is covered by
+        # NumPy's huge-page hint, so under THP ``madvise`` one slab write
+        # there faults in and zeroes a whole 2 MiB page.)  The array keeps
+        # the mapping alive; it is unmapped when the last view goes.
+        mapping = mmap.mmap(-1, rows * self.slab_words * 4)
+        no_huge_pages = getattr(mmap, "MADV_NOHUGEPAGE", None)
+        if no_huge_pages is not None:
+            try:
+                mapping.madvise(no_huge_pages)
+            except OSError:
+                # A kernel built without THP rejects the advice (EINVAL); it
+                # has no huge pages to opt out of.
+                pass
+        self._segment_first.append(self.num_super_blocks)
+        self._arena.append(
+            np.frombuffer(mapping, dtype=np.uint32).reshape(rows, self.slab_words)
+        )
+        self._bitmaps.extend(self._new_bitmap() for _ in range(count))
+        self.num_super_blocks += count
 
-    def _super_store(self, super_block: int) -> np.ndarray:
-        store = self._super_stores.get(super_block)
-        if store is None:
-            # One anonymous mapping per store: the kernel hands out zero
-            # pages lazily, and MADV_NOHUGEPAGE keeps each first touch to a
-            # single base page (4 KiB), whatever the host's THP mode.
-            # (np.zeros is covered by NumPy's huge-page hint, so under THP
-            # ``madvise`` one slab write there faults in and zeroes a whole
-            # 2 MiB page.)  The array keeps the mapping alive; it is unmapped
-            # when the last view goes.
-            rows = self.config.num_memory_blocks * self.config.units_per_block
-            mapping = mmap.mmap(-1, rows * self.slab_words * 4)
-            no_huge_pages = getattr(mmap, "MADV_NOHUGEPAGE", None)
-            if no_huge_pages is not None:
-                try:
-                    mapping.madvise(no_huge_pages)
-                except OSError:
-                    # A kernel built without THP rejects the advice (EINVAL);
-                    # it has no huge pages to opt out of.
-                    pass
-            store = np.frombuffer(mapping, dtype=np.uint32).reshape(rows, self.slab_words)
-            self._super_stores[super_block] = store
-        return store
+    def _location(self, super_block: int, block: int, unit: int) -> Tuple[np.ndarray, int]:
+        """``(segment, row)`` of a slab in the arena."""
+        index = bisect.bisect_right(self._segment_first, super_block) - 1
+        local = super_block - self._segment_first[index]
+        row = (local * self.config.num_memory_blocks + block) * self.config.units_per_block + unit
+        return self._arena[index], row
+
+    def _arena_rows(self, addresses: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Vectorized :meth:`_location`: ``(segment indexes, rows)`` of ``addresses``.
+
+        The segment indexes are ``None`` while the arena is one segment.
+        Raises :class:`AllocationError` for an address outside the pool.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        units = addresses & ((1 << addr.UNIT_BITS) - 1)
+        blocks = (addresses >> addr.UNIT_BITS) & ((1 << addr.BLOCK_BITS) - 1)
+        supers = addresses >> (addr.UNIT_BITS + addr.BLOCK_BITS)
+        if addresses.size and (
+            int(addresses.min()) < 0
+            or int(supers.max()) >= self.num_super_blocks
+            or int(blocks.max()) >= self.config.num_memory_blocks
+            or int(units.max()) >= self.config.units_per_block
+        ):
+            raise AllocationError("slab address out of range")
+        rows = (supers * self.config.num_memory_blocks + blocks) * self.config.units_per_block
+        rows += units
+        if len(self._arena) == 1:
+            return None, rows
+        first = np.asarray(self._segment_first, dtype=np.int64)
+        segments = np.searchsorted(first, supers, side="right") - 1
+        rows -= first[segments] * self.config.units_per_super_block
+        return segments, rows
 
     def _check_bounds(self, super_block: int, block: int, unit: int) -> None:
         if super_block >= self.num_super_blocks:
@@ -496,10 +534,15 @@ class SlabAlloc:
         return new_state
 
     def _grow(self) -> None:
-        """Add super blocks (the paper's growth path), if addressing allows it."""
+        """Add super blocks (the paper's growth path), if addressing and the host allow it."""
         if self.num_super_blocks >= self.config.max_super_blocks:
             return
-        additional = min(self.num_super_blocks, self.config.max_super_blocks - self.num_super_blocks)
-        for _ in range(additional):
-            self._bitmaps.append(self._new_bitmap())
-        self.num_super_blocks += additional
+        try:
+            self._add_super_blocks(
+                min(self.num_super_blocks, self.config.max_super_blocks - self.num_super_blocks)
+            )
+        except OSError:
+            # The host refused to reserve the new segment (ENOMEM under its
+            # overcommit policy): the pool keeps its size, as at the
+            # addressing limit, and a full pool reports exhaustion.
+            pass

@@ -8,10 +8,11 @@ contiguous array so a single global base pointer suffices: address decoding
 becomes pure arithmetic, at the price of scalability (at most ~4 GB of slabs,
 versus ~1 TB for the regular layout).
 
-In this simulator the storage is the same for both variants (one array per
-super block, see :class:`repro.core.slab_alloc.SlabAlloc`); the contiguity is
-modelled only in :meth:`~repro.core.slab_alloc.SlabAlloc.charge_address_decode`,
-which charges the light decode one instruction instead of a shared-memory read.
+In this simulator both variants keep the same storage, the slab arena of
+:class:`repro.core.slab_alloc.SlabAlloc`: the super blocks stored
+contiguously, one mapping per growth step.  The two differ only in
+:meth:`~repro.core.slab_alloc.SlabAlloc.charge_address_decode`, which charges
+the light decode one instruction instead of a shared-memory read.
 
 The paper reports up to a 25 % search-rate improvement from the light variant
 in lookup-heavy scenarios; the ablation benchmark

@@ -58,12 +58,10 @@ class ChainTable:
     it is uncounted (no device events), like the other host-side scans.
     """
 
-    #: Distinct backing stores; index 0 is always the base-slab store.
-    stores: List[np.ndarray]
-    #: Per-slab store index into :attr:`stores`.
-    store_idx: np.ndarray
-    #: Per-slab row within its store.
-    rows: np.ndarray
+    #: The collection's base slabs (row ``b`` is bucket ``b``'s base slab).
+    base_slabs: np.ndarray
+    #: The allocator whose arena holds every other slab.
+    alloc: SlabAlloc
     #: Per-slab owning bucket.
     bucket_of: np.ndarray
     #: Per-slab 32-bit address (``BASE_SLAB`` for base slabs).
@@ -73,18 +71,26 @@ class ChainTable:
 
     @property
     def num_slabs(self) -> int:
-        return len(self.rows)
+        return len(self.addresses)
 
     def chain_lengths(self) -> np.ndarray:
         """Number of slabs per bucket (including the base slab)."""
         return np.diff(self.offsets)
 
+    def allocated_addresses(self) -> np.ndarray:
+        """Addresses of the allocated (non-base) slabs, in table order."""
+        return self.addresses[self.addresses != C.BASE_SLAB]
+
     def words(self) -> np.ndarray:
-        """Gather every slab's 32 words into one ``(num_slabs, 32)`` matrix."""
-        out = np.empty((self.num_slabs, C.SLAB_WORDS), dtype=np.uint32)
-        for index, store in enumerate(self.stores):
-            mask = self.store_idx == index
-            out[mask] = store[self.rows[mask]]
+        """Gather every slab's 32 words into one ``(num_slabs, 32)`` matrix.
+
+        Two sources: base slab ``b`` is row ``b`` of :attr:`base_slabs`, and
+        every other slab is read from the allocator's arena by address.
+        """
+        in_arena = self.addresses != C.BASE_SLAB
+        out = self.base_slabs[self.bucket_of]
+        if in_arena.any():
+            out[in_arena] = self.alloc.read_slabs(self.addresses[in_arena])
         return out
 
 
@@ -473,9 +479,9 @@ class SlabListCollection:
     def chain_table(self, buckets: Optional[np.ndarray] = None) -> ChainTable:
         """Build a :class:`ChainTable` snapshot of the chains, vectorized.
 
-        Walks the chains level by level: one vectorized address decode and one
-        grouped gather per chain depth, rather than one Python loop iteration
-        per slab.  The result is grouped by bucket in traversal order.
+        Walks the chains level by level: one gather of the next pointers per
+        chain depth, rather than one Python loop iteration per slab.  The
+        result is grouped by bucket in traversal order.
 
         ``buckets`` (sorted, unique bucket ids) restricts the walk to those
         chains, so the cost is proportional to the slabs they hold.
@@ -489,12 +495,8 @@ class SlabListCollection:
             buckets = np.asarray(buckets, dtype=np.int64)
         count = len(buckets)
         level_buckets = [buckets]
-        level_store_idx = [np.zeros(count, dtype=np.int64)]
-        level_rows = [buckets]
         level_addresses = [np.full(count, C.BASE_SLAB, dtype=np.int64)]
         level_depths = [np.zeros(count, dtype=np.int64)]
-        stores: List[np.ndarray] = [self.base_slabs]
-        store_ids = {id(self.base_slabs): 0}
 
         pointers = self.base_slabs[buckets, C.ADDRESS_LANE].astype(np.int64)
         depth = 1
@@ -504,24 +506,10 @@ class SlabListCollection:
                 break
             buckets = buckets[live]
             pointers = pointers[live]
-            gathered_stores, gathered_idx, gathered_rows = self.alloc.gather_views(pointers)
-            remap = np.empty(len(gathered_stores), dtype=np.int64)
-            for index, store in enumerate(gathered_stores):
-                key = id(store)
-                if key not in store_ids:
-                    store_ids[key] = len(stores)
-                    stores.append(store)
-                remap[index] = store_ids[key]
-            level_buckets.append(buckets.copy())
-            level_store_idx.append(remap[gathered_idx])
-            level_rows.append(gathered_rows)
-            level_addresses.append(pointers.copy())
+            level_buckets.append(buckets)
+            level_addresses.append(pointers)
             level_depths.append(np.full(len(buckets), depth, dtype=np.int64))
-            next_pointers = np.empty(len(pointers), dtype=np.int64)
-            for index, store in enumerate(gathered_stores):
-                mask = gathered_idx == index
-                next_pointers[mask] = store[gathered_rows[mask], C.ADDRESS_LANE].astype(np.int64)
-            pointers = next_pointers
+            pointers = self.alloc.read_slabs(pointers, C.ADDRESS_LANE).astype(np.int64)
             depth += 1
 
         bucket_of = np.concatenate(level_buckets)
@@ -531,9 +519,8 @@ class SlabListCollection:
         offsets = np.zeros(num + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return ChainTable(
-            stores=stores,
-            store_idx=np.concatenate(level_store_idx)[order],
-            rows=np.concatenate(level_rows)[order],
+            base_slabs=self.base_slabs,
+            alloc=self.alloc,
             bucket_of=bucket_of[order],
             addresses=np.concatenate(level_addresses)[order],
             offsets=offsets,

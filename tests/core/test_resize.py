@@ -160,9 +160,11 @@ class TestGatherBand:
         assert (slots == C.DELETED_KEY).any() == unique_keys
         for _ in range(20):
             lo, hi = sorted(rng.integers(0, lists.num_lists + 1, 2).tolist())
-            got_keys, got_values = gather_band(lists, lo, hi)
+            got_keys, got_values, got_chained = gather_band(lists, lo, hi)
             walk = [item for bucket in range(lo, hi) for item in lists.live_items(bucket)]
             assert got_keys.tolist() == [key for key, _ in walk]
+            chained = [a for bucket in range(lo, hi) for a in lists.chain_addresses(bucket)]
+            assert got_chained.tolist() == chained
             if key_value:
                 assert got_values.tolist() == [value for _, value in walk]
             else:

@@ -1,5 +1,6 @@
 """Tests for SlabAlloc: bitmap allocation, resident changes, deallocation, growth."""
 
+import errno
 import json
 import mmap
 import os
@@ -13,13 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import constants as C
-from repro.core.address import decode_address
+from repro.core.address import decode_address, make_address
 from repro.core.config import SlabAllocConfig
 from repro.core.slab_alloc import SlabAlloc
 from repro.core.slab_alloc_light import SlabAllocLight
+from repro.core.slab_hash import SlabHash
 from repro.gpusim.device import Device
-from repro.gpusim.errors import AllocationError
+from repro.gpusim.errors import AllocationError, SlabAllocExhausted
 from repro.gpusim.warp import Warp
+from repro.persist import snapshot
 
 
 def make_alloc(ns=2, nm=8, nu=64, seed=3):
@@ -284,25 +287,142 @@ def _numpy_madvise_hugepage():
     return core.multiarray._get_madvise_hugepage()
 
 
-class TestUnitStores:
-    def test_fresh_store_is_a_zeroed_uint32_matrix(self):
-        _, alloc = make_alloc(ns=2, nm=8, nu=64)
-        store = alloc._super_store(1)
-        assert store.dtype == np.uint32
-        assert store.shape == (8 * 64, C.SLAB_WORDS)
-        assert store.flags["C_CONTIGUOUS"] and store.flags["WRITEABLE"]
-        assert not store.any()
-        assert alloc._super_store(1) is store  # one store per super block
+def _segment_pointers(alloc):
+    return [segment.ctypes.data for segment in alloc._arena]
 
-    def test_store_rows_are_block_times_units_plus_unit(self):
+
+#: Grows at the second resident change of a request: 1 -> 2 -> 4 -> 8 super blocks.
+TINY = SlabAllocConfig(1, 2, 32, growth_threshold=2, max_super_blocks=8)
+
+
+class TestSlabArena:
+    def test_fresh_arena_is_one_zeroed_uint32_mapping(self):
+        _, alloc = make_alloc(ns=2, nm=8, nu=64)
+        assert len(alloc._arena) == 1
+        (arena,) = alloc._arena
+        assert arena.dtype == np.uint32
+        assert arena.shape == (2 * 8 * 64, C.SLAB_WORDS)
+        assert arena.flags["C_CONTIGUOUS"] and arena.flags["WRITEABLE"]
+        assert not arena.any()
+
+    def test_rows_are_address_arithmetic(self):
         device, alloc = make_alloc(ns=2, nm=8, nu=64)
-        address = alloc.warp_allocate(Warp(5, device.counters))
-        super_block, block, unit = decode_address(address)
-        store, row = alloc.slab_view(address)
-        assert store is alloc._super_store(super_block)
-        assert row == block * 64 + unit
-        untouched = np.delete(store, row, axis=0)
-        assert np.all(store[row] == C.EMPTY_KEY) and not untouched.any()
+        for warp_id in range(40):
+            address = alloc.warp_allocate(Warp(warp_id, device.counters))
+            super_block, block, unit = decode_address(address)
+            store, row = alloc.slab_view(address)
+            assert store is alloc._arena[0]
+            assert row == (super_block * 8 + block) * 64 + unit
+            assert np.all(store[row] == C.EMPTY_KEY)
+        assert np.count_nonzero(alloc._arena[0].any(axis=1)) == 40
+
+    def test_each_growth_step_adds_one_mapping_in_place(self):
+        device, alloc = make_alloc(ns=1, nm=2, nu=32)
+        alloc._arena[0][5] = 7  # a slab write held across the growth
+        for step in range(1, 4):
+            before = _segment_pointers(alloc)
+            first = alloc.num_super_blocks
+            alloc._grow()
+            assert len(alloc._arena) == step + 1
+            assert _segment_pointers(alloc)[:step] == before
+            assert alloc._segment_first[-1] == first
+            assert alloc._arena[-1].shape == (first * 2 * 32, C.SLAB_WORDS)
+        assert alloc.num_super_blocks == 8
+        assert np.all(alloc._arena[0][5] == 7)
+        # Grown super blocks resolve into their own segment, offset by its first.
+        store, row = alloc.slab_view(make_address(5, 1, 3))
+        assert store is alloc._arena[3]
+        assert row == ((5 - 4) * 2 + 1) * 32 + 3
+
+    def test_restore_grows_in_the_same_steps(self):
+        device = Device()
+        alloc = SlabAlloc(device, TINY, seed=1)
+        warp = Warp(0, device.counters)
+        addresses = [alloc.warp_allocate(warp) for _ in range(100)]
+        twin = SlabAlloc(Device(), TINY, seed=1)
+        twin.restore_units(*alloc.export_units(), num_super_blocks=alloc.num_super_blocks)
+        assert twin._segment_first == alloc._segment_first
+        assert [s.shape for s in twin._arena] == [s.shape for s in alloc._arena]
+        assert twin.export_units()[0].tolist() == sorted(addresses)
+
+    def test_vectorized_reads_and_writes_agree_with_slab_view_after_growth(self):
+        device = Device()
+        alloc = SlabAlloc(device, TINY, seed=1)
+        warp = Warp(0, device.counters)
+        addresses = np.array([alloc.warp_allocate(warp) for _ in range(100)], np.int64)
+        assert len(alloc._arena) >= 3  # grown at least twice
+        supers = addresses >> 24
+        bounds = alloc._segment_first + [alloc.num_super_blocks]
+        for first, end in zip(bounds, bounds[1:]):  # every segment holds slabs
+            assert ((supers >= first) & (supers < end)).any()
+
+        words = np.arange(len(addresses) * C.SLAB_WORDS, dtype=np.uint32).reshape(
+            len(addresses), C.SLAB_WORDS
+        )
+        alloc.write_slabs(addresses, words)
+        for address, expected in zip(addresses.tolist(), words):
+            store, row = alloc.slab_view(address)
+            assert np.array_equal(store[row], expected)
+        assert np.array_equal(alloc.read_slabs(addresses), words)
+        assert np.array_equal(alloc.read_slabs(addresses, 5), words[:, 5])
+
+        lanes = np.arange(len(addresses), dtype=np.int64) % C.SLAB_WORDS
+        marker = 0xABCD0000  # above every word written so far
+        alloc.write_slabs(addresses, np.full(len(addresses), marker, np.uint32), lanes)
+        for address, lane in zip(addresses.tolist(), lanes.tolist()):
+            store, row = alloc.slab_view(address)
+            assert store[row, lane] == marker
+        assert (alloc.read_slabs(addresses) == marker).sum() == len(addresses)
+        assert alloc.read_slabs(np.empty(0, np.int64)).shape == (0, C.SLAB_WORDS)
+
+    def test_refused_growth_keeps_the_pool_and_reports_exhaustion(self, monkeypatch):
+        device = Device()
+        config = SlabAllocConfig(1, 1, 32, growth_threshold=2, max_super_blocks=8)
+        alloc = SlabAlloc(device, config, seed=1)
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        warp = Warp(0, device.counters)
+        addresses = [alloc.warp_allocate(warp) for _ in range(32)]
+        with pytest.raises(SlabAllocExhausted):
+            alloc.warp_allocate(warp)
+        assert alloc.num_super_blocks == 1 and len(alloc._arena) == 1
+        assert alloc.allocated_units == len(set(addresses)) == 32
+
+    def test_out_of_range_addresses_are_rejected(self):
+        _, alloc = make_alloc(ns=2, nm=8, nu=64)
+        for address in (make_address(2, 0, 0), make_address(0, 8, 0), make_address(0, 0, 64)):
+            with pytest.raises(AllocationError):
+                alloc.read_slabs(np.array([address], np.int64))
+            with pytest.raises(AllocationError):
+                alloc.write_slabs(np.array([address], np.int64), np.zeros((1, 32), np.uint32))
+            with pytest.raises(AllocationError):
+                alloc.restore_units(np.array([address], np.int64), np.zeros((1, 32), np.uint32))
+            assert alloc.allocated_units == 0 and not alloc._arena[0].any()
+
+    def test_growth_mid_batch_matches_the_reference_backend(self, tmp_path):
+        def run(backend):
+            table = SlabHash(2, alloc_config=TINY, seed=21, backend=backend)
+            keys = np.arange(1, 1201, dtype=np.uint32)
+            op_codes = np.full(len(keys), C.OP_INSERT, dtype=np.int64)
+            op_codes[::5] = C.OP_SEARCH
+            results = table.concurrent_batch(op_codes, keys, keys * np.uint32(3))
+            path = snapshot.save(table, str(tmp_path / f"{backend}.snap"))
+            with np.load(path) as archive:
+                header = json.loads(str(archive["header"]))
+                assert header.pop("backend") == backend  # the one intended difference
+                arrays = {name: archive[name].tobytes() for name in archive.files}
+            arrays["header"] = json.dumps(header, sort_keys=True).encode()
+            return table, results, arrays
+
+        reference, results_r, snap_r = run("reference")
+        vectorized, results_v, snap_v = run("vectorized")
+        assert len(vectorized.alloc._arena) >= 3  # grown at least twice mid-batch
+        assert np.array_equal(results_r, results_v)
+        assert reference.device.counters.as_dict() == vectorized.device.counters.as_dict()
+        assert snap_r == snap_v
 
     @pytest.mark.parametrize("grow", [False, True])
     def test_export_restore_round_trip_is_byte_identical(self, grow):
@@ -346,7 +466,7 @@ class TestUnitStores:
 
 
 # Runs in a fresh interpreter so that no other allocator's mappings share
-# (or merge into) the VMAs that back this allocator's stores.
+# (or merge into) the VMAs that back this allocator's arena.
 _STORE_MEMORY_PROBE = textwrap.dedent(
     """
     import json, mmap, re
@@ -358,7 +478,7 @@ _STORE_MEMORY_PROBE = textwrap.dedent(
     alloc = SlabAlloc(device, seed=1)
     for warp_id in range(2000):
         alloc.warp_allocate(Warp(warp_id, device.counters))
-    ranges = [(s.ctypes.data, s.ctypes.data + s.nbytes) for s in alloc._super_stores.values()]
+    ranges = [(s.ctypes.data, s.ctypes.data + s.nbytes) for s in alloc._arena]
 
     vmas, current = [], None
     with open("/proc/self/smaps") as smaps:
@@ -375,7 +495,7 @@ _STORE_MEMORY_PROBE = textwrap.dedent(
     ]
     print(json.dumps({
         "slabs": alloc.allocated_units,
-        "stores": len(ranges),
+        "mappings": len(ranges),
         "vmas": len(overlapping),
         "rss_kb": sum(int(v["Rss"][0]) for v in overlapping),
         "page_kb": mmap.PAGESIZE // 1024,
@@ -396,7 +516,7 @@ _HAS_SMAPS_AND_THP = os.path.exists("/proc/self/smaps") and os.path.exists(
     reason="needs Linux /proc/self/smaps and transparent huge pages",
 )
 def test_store_memory_tracks_allocated_slabs():
-    """Resident memory of the unit stores grows by base pages, never huge pages."""
+    """Resident memory of the slab arena grows by base pages, never huge pages."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -407,9 +527,9 @@ def test_store_memory_tracks_allocated_slabs():
     assert out.returncode == 0, out.stderr
     probe = json.loads(out.stdout.strip().splitlines()[-1])
     assert probe["slabs"] == 2000
-    assert probe["stores"] == SlabAllocConfig().num_super_blocks
+    assert probe["mappings"] == 1
     assert probe["vmas"] >= 1
     assert probe["anon_huge_kb"] == 0
     assert probe["without_nh"] == 0
-    # At most one page per slab written, with one page per store to spare.
-    assert probe["rss_kb"] <= (probe["slabs"] + probe["stores"]) * probe["page_kb"]
+    # At most one page per slab written, with one page per mapping to spare.
+    assert probe["rss_kb"] <= (probe["slabs"] + probe["mappings"]) * probe["page_kb"]

@@ -301,13 +301,16 @@ def assert_scoped_chain_table(lists, buckets):
     for bucket in buckets:
         f = slice(full.offsets[bucket], full.offsets[bucket + 1])
         p = slice(part.offsets[bucket], part.offsets[bucket + 1])
-        assert np.array_equal(part.rows[p], full.rows[f])
         assert np.array_equal(part.addresses[p], full.addresses[f])
         assert np.array_equal(part.bucket_of[p], full.bucket_of[f])
-        assert [id(part.stores[i]) for i in part.store_idx[p]] == [
-            id(full.stores[i]) for i in full.store_idx[f]
-        ]
         assert np.array_equal(part_words[p], full_words[f])
+    # Each row of words() is the slab its address names.
+    for words, bucket, address in zip(part_words, part.bucket_of, part.addresses):
+        if address == C.BASE_SLAB:
+            store, row = lists.base_slabs, int(bucket)
+        else:
+            store, row = lists.alloc.slab_view(int(address))
+        assert np.array_equal(words, store[row])
 
 
 class TestScopedChainTable:
