@@ -578,7 +578,7 @@ class BulkExecutor:
                 # this batch touches; REPLACE semantics then depend on
                 # empty-vs-match scan races that only the reference schedule
                 # resolves faithfully.
-                return table._reference_concurrent_batch(op_codes, keys, values, None, None)
+                return table._reference_concurrent_batch(op_codes, keys, values, None)
             resolution = self._resolve_unique(snap, keys, buckets)
         else:
             resolution = self._resolve_duplicates(snap, buckets)
@@ -820,7 +820,7 @@ class BulkExecutor:
         if cfg.unique_keys and not snap.is_canonical():
             # Same guard as _bulk_insert: non-canonical REPLACE scan races are
             # only resolved faithfully by the reference schedule.
-            return table._reference_concurrent_batch(op_codes, keys, values, None, None)
+            return table._reference_concurrent_batch(op_codes, keys, values, None)
 
         n = len(keys)
         base_warp, chunks = self._begin_kernel(n)

@@ -10,15 +10,19 @@ tombstones accumulate, so every later traversal pays for history.
 
 This module adds the missing recourse:
 
-* :func:`resize_table` rebuilds a live :class:`~repro.core.slab_hash.SlabHash`
-  into a new bucket array of any size.  Live elements are migrated through
-  the table's regular bulk-insertion path — on either execution backend —
-  so the migration's device events (slab reads, CAS traffic, allocations,
+* :func:`begin_migration` / :func:`migrate_step` rebuild a live
+  :class:`~repro.core.slab_hash.SlabHash` into a new bucket array of any
+  size, one band of old buckets per step, with old and new arrays both live
+  in between.  Each band's live elements are migrated through the table's
+  regular bulk-insertion path — on either execution backend — so the
+  migration's device events (slab reads, CAS traffic, allocations,
   resident-block churn) are charged to the device counters and priced by the
-  cost model exactly like any other kernel, and the old chained slabs are
-  returned to SlabAlloc afterwards.  Multi-value (duplicate-key) contents
+  cost model exactly like any other kernel, and the band's old chained slabs
+  are returned to SlabAlloc afterwards.  Multi-value (duplicate-key) contents
   are migrated in bucket scan order, which preserves the relative order that
   ``search_all`` / ``delete`` / ``delete_all`` observe.
+* :func:`resize_table` is the stop-the-world resize: a migration whose single
+  band is the whole old array, begun and finished in one call.
 * :class:`LoadFactorPolicy` is the adaptive controller: a target beta band
   with geometric growth/shrink factors and a hysteresis dead-zone.  Tables
   constructed with a policy consult it after every mutating batch
@@ -28,20 +32,23 @@ This module adds the missing recourse:
   :class:`~repro.service.service.SlabHashService`, which resizes between
   micro-batches so no individual request's latency absorbs a migration.
 * :class:`ResizeStats` accumulates per-table resize accounting (grow/shrink
-  counts, migrated items, released slabs, modelled seconds) — the coverage
-  hooks the property-based differential harness asserts against.
+  counts, migrated items, released slabs, modelled seconds, migration steps)
+  — the coverage hooks the property-based differential harness asserts
+  against.
 
-Exception safety: if SlabAlloc is exhausted mid-migration, the partially
-filled new bucket array is torn down (its slabs deallocated), the old bucket
-array and hash function are restored unchanged, and the allocation error
-propagates — a failed resize never corrupts the table.
+Exception safety: a failed migration step (allocator exhaustion, an injected
+fault) deletes the band keys that reached the new array again and leaves the
+watermark where it was, so the migration stays resumable.  A failed
+stop-the-world resize then also drops the migration and returns the new
+array's slabs to SlabAlloc: the old bucket array, hash function, chains and
+allocator occupancy are exactly as before, and the error propagates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, cast
 
 if TYPE_CHECKING:
     from repro.core.slab_hash import SlabHash
@@ -99,10 +106,12 @@ class LoadFactorPolicy:
         :meth:`~repro.core.slab_hash.SlabHash.maybe_resize`, which is how
         the service layer schedules migrations between micro-batches.
     incremental:
-        ``False`` (default): a triggered resize is a stop-the-world rebuild
-        (:func:`resize_table`).  ``True``: a triggered resize only *begins*
-        an incremental migration (:func:`begin_migration`) in which the old
-        and new bucket arrays are both live; subsequent pump calls
+        Chooses the band size of a triggered resize's migration.
+        ``False`` (default): one band, the whole old array — a
+        stop-the-world rebuild (:func:`resize_table`).  ``True``: a
+        triggered resize only *begins* an incremental migration
+        (:func:`begin_migration`) in which the old and new bucket arrays
+        are both live; subsequent pump calls
         (:meth:`~repro.core.slab_hash.SlabHash.maybe_resize` /
         :meth:`~repro.core.slab_hash.SlabHash.migrate_step`) move a bounded
         band of buckets each, so no single batch's latency absorbs a full
@@ -249,88 +258,6 @@ class ResizeStats(StatsRecord):
         self.modelled_seconds += result.seconds
 
 
-def resize_table(table: SlabHash, num_buckets: int, *, trigger: str = "manual") -> ResizeResult:
-    """Rebuild ``table`` into a bucket array of ``num_buckets`` base slabs.
-
-    The migration runs through the table's own bulk-insertion path (so it
-    executes — and is counted — on whichever backend the table uses), the old
-    chained slabs are returned to the allocator, and the hash function keeps
-    its universal-family draw ``(a, b)`` re-ranged to the new bucket count,
-    exactly what a fresh table built with the same seed would use.
-
-    Returns a :class:`ResizeResult`; requesting the current bucket count is a
-    counted no-op (``direction="noop"``) with no device work.
-    """
-    if num_buckets <= 0:
-        raise ValueError(f"num_buckets must be positive, got {num_buckets}")
-    old_buckets = table.num_buckets
-    beta_before = table.beta()
-    if num_buckets == old_buckets:
-        result = ResizeResult(
-            old_buckets=old_buckets,
-            new_buckets=old_buckets,
-            direction="noop",
-            trigger=trigger,
-            migrated=0,
-            released_slabs=0,
-            beta_before=beta_before,
-            beta_after=beta_before,
-            counters=Counters(),
-            seconds=0.0,
-        )
-        table.resize_stats.note(result)
-        return result
-
-    device = table.device
-    before = device.snapshot()
-
-    # Host-side snapshot of the live contents, in bucket scan order (the
-    # order delete/search_all traverse, so duplicate-key semantics survive).
-    old_lists = table.lists
-    keys, values, old_chained = gather_band(old_lists, 0, old_lists.num_lists)
-    old_hash = table.hash_fn
-
-    table.lists = SlabListCollection(device, table.alloc, num_buckets, table.config)
-    table.hash_fn = old_hash.rebucket(num_buckets)
-
-    was_in_resize = table._in_resize
-    table._in_resize = True
-    try:
-        if len(keys):
-            table.bulk_insert(keys, values)
-    except Exception:
-        # Strong guarantee: tear the partial new array down, restore the old.
-        warp = table._next_warp()
-        for address in table.lists.chain_table().allocated_addresses():
-            table.alloc.deallocate(warp, int(address))
-        table.lists = old_lists
-        table.hash_fn = old_hash
-        raise
-    finally:
-        table._in_resize = was_in_resize
-
-    if old_chained.size:
-        warp = table._next_warp()
-        for address in old_chained:
-            table.alloc.deallocate(warp, int(address))
-
-    counters = device.counters.diff(before)
-    result = ResizeResult(
-        old_buckets=old_buckets,
-        new_buckets=num_buckets,
-        direction="grow" if num_buckets > old_buckets else "shrink",
-        trigger=trigger,
-        migrated=len(keys),
-        released_slabs=int(old_chained.size),
-        beta_before=beta_before,
-        beta_after=table.beta(),
-        counters=counters,
-        seconds=CostModel(device.spec).elapsed(counters).total_time,
-    )
-    table.resize_stats.note(result)
-    return result
-
-
 @dataclass
 class MigrationState:
     """An in-flight incremental resize: old and new bucket arrays both live.
@@ -403,7 +330,10 @@ def begin_migration(
     says so); otherwise returns ``None``.
     """
     if table.migration is not None:
-        raise RuntimeError("a migration is already in flight; drain it first")
+        raise RuntimeError(
+            "a migration is already in flight; pump it to completion with "
+            "migrate_step() or maybe_resize() first"
+        )
     if num_buckets <= 0:
         raise ValueError(f"num_buckets must be positive, got {num_buckets}")
     old_buckets = table.num_buckets
@@ -451,8 +381,7 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
     go back to SlabAlloc, the old base slabs are cleared, and the watermark
     advances — the step is the atomic unit of migration progress.
 
-    Exception safety mirrors :func:`resize_table`: if the bulk insert fails
-    mid-band (e.g. allocator exhaustion, injected fault), every band key
+    Exception safety: if the bulk insert fails mid-band (e.g. allocator exhaustion, injected fault), every band key
     that reached the new array is deleted again — band keys cannot
     pre-exist there, since their writes routed to the old array — the
     watermark stays put, and the error propagates.  Both arrays stay
@@ -543,3 +472,34 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
         seconds=seconds,
         result=result,
     )
+
+
+def resize_table(table: SlabHash, num_buckets: int, *, trigger: str = "manual") -> ResizeResult:
+    """Rebuild ``table`` into a bucket array of ``num_buckets`` base slabs.
+
+    A stop-the-world resize is a migration whose single band is the whole
+    old array: :func:`begin_migration` followed by one :func:`migrate_step`,
+    so it counts one migration step in :attr:`SlabHash.resize_stats
+    <repro.core.slab_hash.SlabHash.resize_stats>` and checks the
+    ``migration.step`` fault site before anything moves.  The hash function
+    keeps its universal-family draw ``(a, b)`` re-ranged to the new bucket
+    count, exactly what a fresh table built with the same seed would use.
+
+    Returns a :class:`ResizeResult`; requesting the current bucket count is a
+    counted no-op (``direction="noop"``) with no device work.  If the step
+    fails, the migration is dropped and the new array's slabs go back to the
+    allocator before the error propagates, leaving the table as it was.
+    """
+    noop = begin_migration(table, num_buckets, trigger=trigger, step_buckets=table.num_buckets)
+    if noop is not None:
+        return noop
+    new_lists = cast(MigrationState, table.migration).new_lists
+    try:
+        # One band spans the whole old array, so this step completes the migration.
+        return cast(ResizeResult, migrate_step(table).result)
+    except Exception:
+        table.migration = None
+        warp = table._next_warp()
+        for address in new_lists.chain_table().allocated_addresses().tolist():
+            table.alloc.deallocate(warp, address)
+        raise

@@ -304,23 +304,19 @@ class SlabAlloc:
         units, so unallocated units always read as empty slabs), and
         ``words[i]`` is the 32-word content of the slab at ``addresses[i]``.
         """
-        per_super: List[np.ndarray] = []
-        for super_block, bitmap in enumerate(self._bitmaps):
-            blocks, lanes, bits = np.nonzero(
-                (bitmap[:, :, None] >> np.arange(32, dtype=np.uint32)) & np.uint32(1)
-            )
-            units = lanes * 32 + bits
-            # _new_bitmap marks non-existent tail units as permanently
-            # allocated; they are padding, not real units.
-            real = units < self.config.units_per_block
-            addresses = (
-                (super_block << (addr.UNIT_BITS + addr.BLOCK_BITS))
-                | (blocks[real] << addr.UNIT_BITS)
-                | units[real]
-            )
-            per_super.append(addresses.astype(np.int64))
+        # Scan whole bitmap words and expand only the set ones to bits, so the
+        # cost follows the allocated units rather than the capacity.  Words
+        # past units_per_block are _new_bitmap's permanently set tail
+        # padding, not real units.  Row-major order over (super block,
+        # block, word, bit) is address order.
+        bitmaps = np.stack(self._bitmaps)[:, :, : self.config.units_per_block // 32]
+        supers, blocks, lanes = np.nonzero(bitmaps)
+        set_bits = (bitmaps[supers, blocks, lanes, None] >> np.arange(32, dtype=np.uint32)) & 1
+        word, bits = np.nonzero(set_bits)
         addresses = (
-            np.sort(np.concatenate(per_super)) if per_super else np.empty(0, np.int64)
+            (supers[word] << (addr.UNIT_BITS + addr.BLOCK_BITS))
+            | (blocks[word] << addr.UNIT_BITS)
+            | (lanes[word] * 32 + bits)
         )
         return addresses.astype(np.uint32), self.read_slabs(addresses)
 

@@ -394,7 +394,6 @@ class SlabHash:
         values: Optional[Sequence[int]] = None,
         *,
         scheduler: Optional[WarpScheduler] = None,
-        wave_size: Optional[int] = None,
     ) -> np.ndarray:
         """Execute a batch of mixed operations truly concurrently.
 
@@ -412,15 +411,13 @@ class SlabHash:
         :class:`~repro.core.bulk_exec.BulkExecutor`, with bit-identical
         results, state and counters.  Passing a scheduler always executes the
         reference generators, because interleaving at memory-access
-        granularity is exactly what a scheduler is for; ``wave_size`` bounds
-        how many warps are concurrently live under a scheduler (it is ignored
-        without one).
+        granularity is exactly what a scheduler is for.
 
         Returns an array with, per operation: the found value for searches
         (``SEARCH_NOT_FOUND`` if absent), 1/0 for deletions (removed or not),
         and 0 for insertions.
         """
-        results = self._run(op_codes, keys, values, scheduler, wave_size)
+        results = self._run(op_codes, keys, values, scheduler)
         self._auto_resize()
         return results
 
@@ -430,7 +427,6 @@ class SlabHash:
         keys: Sequence[int],
         values: Optional[Sequence[int]],
         scheduler: Optional[WarpScheduler] = None,
-        wave_size: Optional[int] = None,
     ) -> np.ndarray:
         """Validate, route and execute one batch; every batch API ends here.
 
@@ -460,19 +456,19 @@ class SlabHash:
                 raise ValueError("keys and values must have the same length")
 
         if self.migration is None or self._in_resize:
-            return self._execute(ops, keys, vals, scheduler, wave_size)
+            return self._execute(ops, keys, vals, scheduler)
         mask = self._migration_mask(keys)
         if not mask.any():
-            return self._execute(ops, keys, vals, scheduler, wave_size)
+            return self._execute(ops, keys, vals, scheduler)
         results = np.zeros(len(keys), dtype=np.uint32)
         old = ~mask
         if old.any():
             results[old] = self._execute(
-                ops[old], keys[old], None if vals is None else vals[old], scheduler, wave_size
+                ops[old], keys[old], None if vals is None else vals[old], scheduler
             )
         with self._routed_to_new():
             results[mask] = self._execute(
-                ops[mask], keys[mask], None if vals is None else vals[mask], scheduler, wave_size
+                ops[mask], keys[mask], None if vals is None else vals[mask], scheduler
             )
         return results
 
@@ -482,11 +478,10 @@ class SlabHash:
         keys: np.ndarray,
         values: Optional[np.ndarray],
         scheduler: Optional[WarpScheduler],
-        wave_size: Optional[int],
     ) -> np.ndarray:
         if scheduler is None and self.backend == "vectorized":
             return self._bulk_exec.run(op_codes, keys, values)
-        return self._reference_concurrent_batch(op_codes, keys, values, scheduler, wave_size)
+        return self._reference_concurrent_batch(op_codes, keys, values, scheduler)
 
     def _reference_concurrent_batch(
         self,
@@ -494,7 +489,6 @@ class SlabHash:
         keys: np.ndarray,
         values: Optional[np.ndarray],
         scheduler: Optional[WarpScheduler],
-        wave_size: Optional[int],
     ) -> np.ndarray:
         """The reference driver: the per-warp generator schedule of any batch.
 
@@ -546,8 +540,6 @@ class SlabHash:
 
         if scheduler is None:
             run_sequential(programs)
-        elif wave_size is not None:
-            scheduler.run_in_waves(programs, wave_size)
         else:
             scheduler.run(programs)
 
@@ -564,20 +556,18 @@ class SlabHash:
     def resize(self, num_buckets: int, *, trigger: str = "manual") -> ResizeResult:
         """Rebuild the table into ``num_buckets`` buckets, migrating live items.
 
-        Migration runs through the bulk-insertion path of this table's
-        backend (so it is charged to the device counters like any other
-        kernel), old chained slabs are returned to the allocator, and the
-        hash function keeps its ``(a, b)`` draw re-ranged to the new bucket
-        count.  Resizing to the current size is a no-op.
+        A stop-the-world resize is a migration whose single band is the
+        whole old array (:func:`repro.core.resize.resize_table`): it runs
+        through the bulk-insertion path of this table's backend (so it is
+        charged to the device counters like any other kernel), counts one
+        migration step, returns the old chained slabs to the allocator, and
+        keeps the hash function's ``(a, b)`` draw re-ranged to the new
+        bucket count.  Resizing to the current size is a no-op; a failed
+        resize leaves the table as it was.
 
         Raises ``RuntimeError`` while an incremental migration is in flight:
         drain it with :meth:`migrate_step` / :meth:`maybe_resize` first.
         """
-        if self.migration is not None:
-            raise RuntimeError(
-                "an incremental migration is in flight; pump it with migrate_step() "
-                "or maybe_resize() before a stop-the-world resize"
-            )
         return resize_table(self, num_buckets, trigger=trigger)
 
     def begin_resize(

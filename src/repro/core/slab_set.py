@@ -110,12 +110,9 @@ class SlabSet:
         keys: Sequence[int],
         *,
         scheduler: Optional["WarpScheduler"] = None,
-        wave_size: Optional[int] = None,
     ) -> np.ndarray:
         """Mixed concurrent adds/discards/membership queries (see SlabHash)."""
-        return self._table.concurrent_batch(
-            op_codes, keys, scheduler=scheduler, wave_size=wave_size
-        )
+        return self._table.concurrent_batch(op_codes, keys, scheduler=scheduler)
 
     # ------------------------------------------------------------------ #
     # Maintenance / introspection

@@ -468,11 +468,11 @@ class ShardedSlabHash:
         Failure semantics: shards are independent devices with independent
         allocators, so one shard's failed migration (e.g. allocator
         exhaustion) must not starve the others of maintenance.  A failing
-        shard is restored unchanged — ``resize_table``'s strong guarantee
-        covers its bucket array, chains and allocator occupancy, and a
-        failed incremental step leaves the watermark where it was — the
-        remaining shards still get their rebalance attempt, and the first
-        error is re-raised afterwards.
+        shard is restored unchanged — a failed stop-the-world resize drops
+        its one-step migration and leaves the bucket array, chains and
+        allocator occupancy as they were, and a failed incremental step
+        leaves the watermark where it was — the remaining shards still get
+        their rebalance attempt, and the first error is re-raised afterwards.
         """
         if on_migrating not in ("complete", "error"):
             raise ValueError(

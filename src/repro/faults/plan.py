@@ -22,9 +22,11 @@ site                           fired by
                                allocator exhaustion inside a step is the
                                same site)
 ``shard:<i>.migration.step``   :func:`repro.core.resize.migrate_step`, before
-                               the step moves any bucket (the step fails
-                               whole: watermark unchanged, both tables
-                               consistent, migration resumable)
+                               the step moves any bucket — every step,
+                               including a stop-the-world resize's single
+                               one (the step fails whole: watermark
+                               unchanged, both tables consistent, migration
+                               resumable; a failed resize is fully undone)
 ``wal.append``                 :meth:`~repro.persist.wal.WriteAheadLog.append_group`,
                                before any byte is written
 ``wal.write``                  same, at the write itself (supports
@@ -99,9 +101,12 @@ SITE_CATALOG: Tuple[FaultSite, ...] = (
     FaultSite(
         name="shard:<i>.migration.step",
         call_site="migration.step",
-        component="incremental resize",
+        component="resize",
         dirty=False,
-        description="before a migration step moves any bucket (step fails whole)",
+        description=(
+            "before a migration step moves any bucket, a stop-the-world resize's "
+            "single step included (step fails whole; a failed resize is undone)"
+        ),
     ),
     FaultSite(
         name="shard:<i>.execute",
@@ -164,7 +169,8 @@ class InjectedMigrationFailure(InjectedFault):
 
     Fired before the step moves any bucket, so the failed step leaves the
     watermark unchanged and both tables consistent; the migration resumes
-    on the next pump.
+    on the next pump.  A stop-the-world resize is a single step: its
+    failure drops the migration and leaves the table as it was.
     """
 
 

@@ -90,32 +90,3 @@ class WarpScheduler:
                 steps += 1
         self.steps_executed += steps
         return steps
-
-    def run_in_waves(self, programs: Sequence[WarpProgram], wave_size: int) -> int:
-        """Interleave programs in waves of at most ``wave_size`` concurrent warps.
-
-        Models the fact that a real GPU only has a bounded number of resident
-        warps: programs beyond the wave size only start once a slot frees up.
-        """
-        if wave_size <= 0:
-            raise SchedulerError(f"wave_size must be positive, got {wave_size}")
-        pending = list(programs)
-        live: List[WarpProgram] = []
-        steps = 0
-        while pending or live:
-            while pending and len(live) < wave_size:
-                live.append(pending.pop(0))
-            if steps >= self.max_steps:
-                raise SchedulerError(
-                    f"scheduler exceeded max_steps={self.max_steps}; "
-                    "possible livelock in a warp program"
-                )
-            idx = int(self.rng.integers(len(live)))
-            try:
-                next(live[idx])
-            except StopIteration:
-                live.pop(idx)
-            else:
-                steps += 1
-        self.steps_executed += steps
-        return steps

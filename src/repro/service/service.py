@@ -224,9 +224,10 @@ class ServiceStats(StatsRecord):
     concurrently.  ``resize_failures`` is the append-only log of failed
     between-batch migrations — later successes never erase it.
     ``migration_steps`` / ``migration_buckets_moved`` /
-    ``migration_items_moved`` sum each live shard's incremental-resize
-    step accounting (:class:`~repro.core.resize.ResizeStats`), so a churn
-    run shows how much rehash work was interleaved between batches.
+    ``migration_items_moved`` sum each live shard's migration step
+    accounting (:class:`~repro.core.resize.ResizeStats`; a stop-the-world
+    rebuild is one step), so a churn run shows how much rehash work was
+    interleaved between batches.
 
     The degradation counters follow the same per-lane arithmetic:
     ``ops_rejected`` (admissions refused by backpressure or quarantine) and
@@ -977,11 +978,11 @@ class SlabHashService:
         replay reproduces the same per-shard schedule by pumping exactly
         the shards each replayed record touched (pumping is not idempotent
         once migrations are incremental, so replay must not pump untouched
-        shards).  A failed migration (e.g. allocator exhaustion) leaves the
-        table restored — ``resize_table``'s strong guarantee for rebuilds;
-        an unchanged watermark with both tables consistent for a failed
-        incremental step — so it is recorded and the service keeps serving
-        rather than killing the drain loop.
+        shards).  A failed migration step (e.g. allocator exhaustion) leaves
+        an unchanged watermark with both tables consistent, and a failed
+        stop-the-world resize (one step over the whole array) is fully
+        undone, so it is recorded and the service keeps serving rather than
+        killing the drain loop.
         Failures append to an append-only log surfaced via
         :attr:`resize_failures` / :meth:`stats`; a later successful
         migration never overwrites or clears an earlier recorded failure.

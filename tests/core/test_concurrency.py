@@ -125,23 +125,6 @@ class TestMixedConcurrentBatches:
         assert not set(int(k) for k in base[:50]) & stored
         assert set(int(k) for k in untouched) <= stored
 
-    def test_wave_limited_execution_matches_unlimited(self):
-        base = make_keys(60, seed=30)
-        workload_keys = make_keys(60, seed=31) + np.uint32(2**29)
-        ops = np.full(60, C.OP_INSERT)
-
-        unlimited = new_table(buckets=2)
-        unlimited.bulk_build(base, base)
-        unlimited.concurrent_batch(ops, workload_keys, workload_keys,
-                                   scheduler=WarpScheduler(seed=2))
-
-        waved = new_table(buckets=2)
-        waved.bulk_build(base, base)
-        waved.concurrent_batch(ops, workload_keys, workload_keys,
-                               scheduler=WarpScheduler(seed=2), wave_size=1)
-
-        assert dict(unlimited.items()) == dict(waved.items())
-
     def test_sequential_schedule_is_a_valid_special_case(self):
         table = new_table(buckets=2)
         base = make_keys(64, seed=40)

@@ -463,14 +463,3 @@ class TestFallbacks:
         vectorized.bulk_insert(touching, touching)
         assert_same_state(reference, vectorized)
         assert len(fallbacks) == 2 and set(fallbacks[1]) == {C.OP_INSERT}
-
-    def test_wave_size_without_scheduler_is_ignored_on_both_backends(self):
-        reference, vectorized = table_pair(num_buckets=2, alloc_config=SMALL_ALLOC, seed=49)
-        keys = np.arange(1, 100, dtype=np.uint32)
-        build_both(reference, vectorized, keys)
-        op_codes = np.full(64, C.OP_SEARCH, dtype=np.int64)
-        queries = np.arange(1, 65, dtype=np.uint32)
-        out_r = reference.concurrent_batch(op_codes, queries, queries, wave_size=4)
-        out_v = vectorized.concurrent_batch(op_codes, queries, queries, wave_size=4)
-        assert np.array_equal(out_r, out_v)
-        assert_same_state(reference, vectorized)

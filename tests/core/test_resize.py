@@ -18,6 +18,7 @@ from repro.core.config import SlabAllocConfig
 from repro.core.resize import LoadFactorPolicy, resize_table
 from repro.core.slab_alloc import SlabAlloc
 from repro.core.slab_hash import SlabHash
+from repro.faults.plan import FaultAction, FaultPlan, InjectedMigrationFailure
 from repro.gpusim.device import Device
 from repro.gpusim.errors import AllocationError
 
@@ -126,13 +127,51 @@ class TestResizeEquivalence:
         table.bulk_build(keys, keys)
         items_before = sorted(table.items())
         buckets_before = table.num_buckets
+        units_before = alloc.allocated_units
         # Migrating into 1 bucket needs fresh slabs for every element while the
         # old ones are still held -> the exhausted allocator must fail.
         with pytest.raises(AllocationError):
             table.resize(1)
+        assert table.migration is None
         assert table.num_buckets == buckets_before
+        assert alloc.allocated_units == units_before
         assert sorted(table.items()) == items_before
         assert np.array_equal(table.bulk_search(keys), keys.astype(np.uint32))
+
+    def test_injected_step_fault_fails_the_resize_whole(self, backend):
+        """A stop-the-world resize checks the ``migration.step`` site first."""
+        table, keys, values = build_table(8, backend=backend)
+        table.alloc.faults = FaultPlan({("migration.step", 0): FaultAction(exc="migration")})
+        items_before = sorted(table.items())
+        slabs_before = table.bucket_slab_counts().tolist()
+        units_before = table.alloc.allocated_units
+        with pytest.raises(InjectedMigrationFailure):
+            table.resize(64)
+        assert table.migration is None
+        assert table.num_buckets == 8
+        assert sorted(table.items()) == items_before
+        assert table.bucket_slab_counts().tolist() == slabs_before
+        assert table.alloc.allocated_units == units_before
+        assert table.resize_stats.resizes == table.resize_stats.migration_steps == 0
+
+        result = table.resize(64)  # occurrence 1 is clean
+        assert result.direction == "grow" and result.migrated == len(items_before)
+        assert sorted(table.items()) == items_before
+
+    def test_resize_records_one_migration_step(self, backend):
+        """A stop-the-world resize is one band: the whole old array."""
+        table, keys, values = build_table(8, backend=backend)
+
+        def steps():
+            stats = table.resize_stats
+            return stats.migration_steps, stats.migration_buckets, stats.migration_items
+
+        table.resize(64)
+        assert steps() == (1, 8, 600)
+        table.resize(16)
+        assert steps() == (2, 8 + 64, 1200)
+        table.resize(16)  # a no-op moves nothing
+        assert steps() == (2, 8 + 64, 1200)
 
 
 class TestGatherBand:
@@ -212,6 +251,16 @@ class TestResizeAccounting:
         }
         assert table.resize_stats.noops == 1
         assert table.resize_stats.resizes == 0
+
+    def test_resize_refuses_while_a_migration_is_in_flight(self):
+        table, _, _ = build_table(8)
+        table.begin_resize(32, step_buckets=2)
+        table.migrate_step()
+        with pytest.raises(RuntimeError, match="in flight"):
+            table.resize(64)
+        assert table.migration.target_buckets == 32 and table.migration.watermark == 2
+        with pytest.raises(RuntimeError, match="in flight"):
+            table.begin_resize(64)
 
     def test_resize_rejects_nonpositive_buckets(self):
         table, _, _ = build_table(8)

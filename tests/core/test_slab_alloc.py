@@ -345,6 +345,30 @@ class TestSlabArena:
         assert [s.shape for s in twin._arena] == [s.shape for s in alloc._arena]
         assert twin.export_units()[0].tolist() == sorted(addresses)
 
+    def test_export_of_a_padded_grown_pool_is_its_allocated_units(self):
+        # 64 units per block leave 30 of the 32 bitmap words as tail padding.
+        config = SlabAllocConfig(1, 2, 64, growth_threshold=2, max_super_blocks=8)
+        device = Device()
+        alloc = SlabAlloc(device, config, seed=4)
+        warp = Warp(0, device.counters)
+        addresses = [alloc.warp_allocate(warp) for _ in range(300)]
+        for address in addresses[::3]:
+            alloc.deallocate(warp, address)
+        live = sorted(set(addresses) - set(addresses[::3]))
+        words = np.arange(len(live) * 32, dtype=np.uint32).reshape(-1, 32)
+        alloc.write_slabs(np.array(live, np.int64), words)
+        assert alloc.num_super_blocks > 1
+
+        exported, words = alloc.export_units()
+        assert exported.dtype == np.uint32
+        assert exported.tolist() == live
+        twin = SlabAlloc(Device(), config, seed=4)
+        twin.restore_units(exported, words, num_super_blocks=alloc.num_super_blocks)
+        again, again_words = twin.export_units()
+        assert again.tobytes() == exported.tobytes()
+        assert again_words.tobytes() == words.tobytes()
+        assert twin.allocated_units == alloc.allocated_units == len(live)
+
     def test_vectorized_reads_and_writes_agree_with_slab_view_after_growth(self):
         device = Device()
         alloc = SlabAlloc(device, TINY, seed=1)

@@ -76,18 +76,3 @@ class TestWarpScheduler:
         scheduler = WarpScheduler(seed=0, max_steps=100)
         with pytest.raises(SchedulerError):
             scheduler.run([endless()])
-
-    def test_run_in_waves_bounds_concurrency(self):
-        log = []
-        programs = [make_program(log, name, 3) for name in "abcd"]
-        WarpScheduler(seed=7).run_in_waves(programs, wave_size=2)
-        # Program "c" cannot start before one of "a"/"b" finished entirely.
-        first_c = log.index(("c", 0))
-        finished_before_c = {
-            name for name in "ab" if (name, 2) in log and log.index((name, 2)) < first_c
-        }
-        assert finished_before_c
-
-    def test_run_in_waves_rejects_bad_wave_size(self):
-        with pytest.raises(SchedulerError):
-            WarpScheduler(seed=0).run_in_waves([], wave_size=0)

@@ -626,7 +626,11 @@ def run_program(program: Program, *, check_coverage: bool = False) -> Optional[s
                         f"{table.resize_stats.grows}, shrinks="
                         f"{table.resize_stats.shrinks}; the generator must force both"
                     )
-                if table.resize_stats.migration_steps < 1:
+                # Every finished resize is at least one step (a stop-the-world
+                # rebuild is exactly one), so only steps beyond that count
+                # prove a mid-migration phase.
+                stats = table.resize_stats
+                if stats.migration_steps <= stats.resizes:
                     return (
                         f"coverage: {name} table saw no incremental migration "
                         f"steps; the generator must force a mid-migration phase"

@@ -17,6 +17,9 @@ migration steps between batches all run long — the
 step must leave the watermark unchanged and both tables consistent, which
 the end-of-run model/live/recovery diffs verify; the focused tests at the
 bottom of this file pin the step-failure semantics down deterministically.
+The same programs also run under a stop-the-world policy, whose every
+rebuild is a one-band migration step behind the same fault site: a failed
+rebuild must leave the shard exactly as it was.
 
 The invariants (docs/FAULTS.md):
 
@@ -82,6 +85,9 @@ ALLOC = SlabAllocConfig(num_super_blocks=8, num_memory_blocks=32, units_per_bloc
 POLICY = LoadFactorPolicy(
     min_buckets=4, incremental=True, migration_step_buckets=2
 ).deferred()
+#: Stop-the-world + deferred: each resize the drain loop triggers rebuilds a
+#: shard in one migration step.
+STOP_THE_WORLD = LoadFactorPolicy(min_buckets=4).deferred()
 
 
 def _seeds() -> list:
@@ -188,7 +194,7 @@ def apply_op(model: dict, op: int, key: int, value: int) -> None:
         model.pop(key, None)
 
 
-def run_chaos_program(seed: int, tmp_path) -> None:
+def run_chaos_program(seed: int, tmp_path, policy: LoadFactorPolicy = POLICY) -> None:
     workdir = tmp_path / f"chaos-{seed}"
     workdir.mkdir()
     snap = str(workdir / "snap")
@@ -197,8 +203,8 @@ def run_chaos_program(seed: int, tmp_path) -> None:
     waves = generate_waves(seed)
     plan = FaultPlan.random(seed, chaos_sites(), rate=0.05, horizon=48)
     engine = ShardedSlabHash(
-        NUM_SHARDS, POLICY.min_buckets, alloc_config=ALLOC, seed=47,
-        load_factor_policy=POLICY,
+        NUM_SHARDS, policy.min_buckets, alloc_config=ALLOC, seed=47,
+        load_factor_policy=policy,
     )
     config = ServiceConfig(
         max_batch_size=128,
@@ -338,9 +344,10 @@ def run_chaos_program(seed: int, tmp_path) -> None:
     assert stats.ops_completed + stats.ops_failed + stats.ops_expired >= 0
 
     # The tiny starting array guarantees growth: the drain loop must have
-    # pumped incremental migration steps, and every injected step failure
-    # must have been absorbed into the resize-failure log (the drain never
-    # dies; the failed step leaves the watermark unchanged and resumable).
+    # pumped migration steps (bounded bands, or whole one-step rebuilds),
+    # and every injected step failure must have been absorbed into the
+    # resize-failure log (the drain never dies; a failed step leaves the
+    # watermark unchanged, a failed rebuild leaves the shard as it was).
     assert stats.migration_steps > 0, (
         f"seed {seed}: the chaos run never pumped a migration step"
     )
@@ -386,6 +393,11 @@ def run_chaos_program(seed: int, tmp_path) -> None:
 @pytest.mark.parametrize("seed", _seeds())
 def test_chaos_programs_hold_the_exactly_once_invariants(seed, tmp_path):
     run_chaos_program(seed, tmp_path)
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+def test_chaos_programs_hold_under_stop_the_world_resizes(seed, tmp_path):
+    run_chaos_program(seed, tmp_path, STOP_THE_WORLD)
 
 
 def test_chaos_plans_and_programs_are_deterministic():
