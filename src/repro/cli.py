@@ -35,7 +35,7 @@ the statistics at the cost of runtime.  See docs/EXPERIMENTS.md for how the
 modelled numbers relate to the paper's K40c measurements.
 
 ``--backend`` selects the execution backend for every table the experiments
-build: ``vectorized`` (default; the NumPy fast path for bulk operations and
+build: ``vectorized`` (default; one NumPy kernel for bulk operations and
 unscheduled concurrent batches) or ``reference`` (the per-warp generator
 schedule).  Both produce identical device counters — and therefore identical
 tables — the flag only changes the host-side wall-clock time; see

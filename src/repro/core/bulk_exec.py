@@ -5,36 +5,29 @@ whose operations share one op code — reaches one reference driver, which
 executes warps one generator step at a time: faithful to the paper's
 warp-cooperative work sharing (Fig. 2), but the Python generator machinery
 costs microseconds per simulated memory access.  This module executes the
-same unscheduled batches with batched NumPy resolution plus a compact serial
-replay and *synthesizes the exact device-counter stream* the reference driver
-would have produced, so the cost model, every figure, and every counter-based
-test see bit-identical numbers.  :meth:`BulkExecutor.run` picks the kernel
-from the batch's op mix: a batch of one operation type goes to that type's
-bulk kernel (insert, search or delete rank arithmetic against one snapshot),
-any other batch to the phased concurrent path.  Scheduler-interleaved batches
-always run the reference generators, since seeded interleavings are the
-whole point there.
+same unscheduled batches with one phased kernel, :meth:`BulkExecutor.run`:
+batched NumPy resolution plus a compact serial replay, which *synthesizes
+the exact device-counter stream* the reference driver would have produced,
+so the cost model, every figure, and every counter-based test see
+bit-identical numbers.  Scheduler-interleaved batches always run the
+reference generators, since seeded interleavings are the whole point there.
 
 Why this is possible
 --------------------
-Without a scheduler the warps are drained sequentially, and within a warp
-the WCWS work queue processes one source lane to completion before moving to
-the next (``first_set_lane`` over a shrinking ballot).  A single-type batch
-is therefore *strictly serial in array order*: operation ``i`` executes
-fully before operation ``i + 1``, and no CAS ever fails.  Final state
-and per-operation results can then be resolved per bucket with sorting and
-ranking primitives, and the counters follow from closed-form per-iteration
-event profiles of the three warp procedures.
-
-The same argument extends to a mixed batch: the driver enqueues, per warp
-chunk, one program per operation type present (insert, then delete, then
-search) and drains them sequentially, so the mixed batch is strictly serial
-in ``(chunk, phase, lane)`` order
-(:func:`repro.gpusim.vectorize.phased_order`).  Because interleaved phases
-mutate the very chains later phases traverse, the concurrent path resolves
-destinations with an incremental per-bucket replay of that serial order
-instead of whole-batch rank arithmetic, then applies state and counters in
-bulk.  Event profiles:
+Without a scheduler the driver enqueues, per warp chunk, one program per
+operation type present (insert, then delete, then search) and drains them
+sequentially, and within a program the WCWS work queue processes one source
+lane to completion before moving to the next (``first_set_lane`` over a
+shrinking ballot).  A batch is therefore *strictly serial* in ``(chunk,
+phase, lane)`` order (:func:`repro.gpusim.vectorize.phased_order`) — array
+order for a bulk op — and no CAS ever fails.  Deletions and searches whose
+key no insertion of the batch names resolve with rank arithmetic against one
+snapshot: an operation preceded by ``d`` deletions of its key sees the key's
+``d``-th live occurrence.  Insertions resolve with rank arithmetic too when
+nothing else needs replaying, and otherwise by an incremental per-bucket
+replay of the serial order.  State and counters are then applied in bulk;
+the counters follow from closed-form per-iteration event profiles of the
+three warp procedures:
 
 ===============  ========================================================
 per iteration    SEARCH: 38 warp instrs, 2 ballots, 3 shuffles (key-only
@@ -65,13 +58,14 @@ Fallback
 --------
 Unique-key (REPLACE) resolution assumes the *canonical* bucket layout that
 every public API preserves: within each bucket's scan order, EMPTY slots only
-follow occupied/tombstoned ones.  If a bucket the call touches is observed in
-a non-canonical state (only reachable by external mutation of the stores),
-the insert and concurrent kernels transparently fall back to the reference
-driver for that call, which is correct in every state.  The search and delete
-kernels only look for live occurrences, so they are exact in any layout.  The
-scan-race hazard is per bucket, so a non-canonical bucket the call does not
-touch cannot change its outcome and does not force the fallback.
+follow occupied/tombstoned ones.  If a batch with an insertion touches a
+bucket observed in a non-canonical state (only reachable by external
+mutation of the stores), the kernel transparently falls back to the
+reference driver for that call, which is correct in every state.  The
+empty-vs-match scan races of a non-canonical bucket only affect insertions
+into it: deletions and searches only look for live occurrences, so a batch
+without insertions is exact in any layout, and a non-canonical bucket the
+call does not touch cannot change its outcome.
 
 When SlabAlloc raises (out of memory) mid-batch, the executor mirrors the
 reference schedule's partial effects: every operation preceding the failing
@@ -84,7 +78,7 @@ counter ends in the same place whether or not a chunk ever ran.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -167,13 +161,21 @@ def gather_band(
     return out_keys, out_values, table.allocated_addresses()
 
 
-class _AppendFailed(Exception):
-    """Internal: a slab allocation failed while appending for ``op_index``."""
+def _count_earlier(
+    event_groups: np.ndarray,
+    event_ranks: np.ndarray,
+    groups: np.ndarray,
+    ranks: np.ndarray,
+    stride: int,
+) -> np.ndarray:
+    """Per query, how many events of its group have a lower serial rank.
 
-    def __init__(self, op_index: int, error: AllocationError) -> None:
-        super().__init__(str(error))
-        self.op_index = op_index
-        self.error = error
+    Counts the deletions of a key that precede an operation, and the slabs
+    appended to a bucket before it; every rank must be below ``stride``.
+    """
+    codes = np.sort(event_groups.astype(np.int64) * stride + event_ranks)
+    lo = groups.astype(np.int64) * stride
+    return np.searchsorted(codes, lo + ranks) - np.searchsorted(codes, lo)
 
 
 class _Snapshot:
@@ -355,19 +357,6 @@ class BulkExecutor:
     def __init__(self, table: "SlabHash") -> None:
         self.table = table
 
-    # ------------------------------------------------------------------ #
-    # Shared plumbing
-    # ------------------------------------------------------------------ #
-
-    def _begin_kernel(self, num_ops: int) -> Tuple[int, int]:
-        """Mirror the reference driver's kernel launch and warp-id reservation."""
-        table = self.table
-        table.device.launch_kernel()
-        chunks = math.ceil(num_ops / WARP_SIZE)
-        base_warp = table._warp_counter
-        table._warp_counter += chunks
-        return base_warp, chunks
-
     @property
     def _decode_cost(self) -> Tuple[int, int]:
         """(warp instructions, shared reads) per non-base-slab address decode.
@@ -376,462 +365,66 @@ class BulkExecutor:
         """
         return (1, 0) if self.table.alloc.light else (8, 1)
 
-    def _tally_traversal(
-        self,
-        tally: CounterTally,
-        *,
-        iter_instructions: int,
-        chunks: int,
-        iters: int,
-        decodes: int,
-        shuffles: int,
-    ) -> None:
-        """Common per-iteration events of all three warp procedures."""
-        decode_wi, decode_shared = self._decode_cost
-        tally.add("coalesced_read_transactions", iters)
-        tally.add("warp_ballots", chunks + 2 * iters)
-        tally.add("warp_shuffles", shuffles)
-        # charge(ITER) + first_set_lane(work queue) + first_set_lane(dest/found)
-        tally.add("warp_instructions", (iter_instructions + 2) * iters + decode_wi * decodes)
-        tally.add("shared_reads", decode_shared * decodes)
-
-    def _process_appends(
-        self,
-        tally: CounterTally,
-        slab_map: _SlabMap,
-        append_ops: np.ndarray,
-        buckets: np.ndarray,
-        depths: np.ndarray,
-        base_warp: int,
-        *,
-        warp_ops: Optional[np.ndarray] = None,
-        on_append: Optional[Callable[[int, int, int], None]] = None,
-    ) -> None:
-        """Allocate and link appended slabs, in global operation order.
-
-        Each event runs the *real* allocator under the triggering warp's id, so
-        resident-block hashing, bitmap atomics, resident changes and growth are
-        reproduced (and counted) exactly; the pointer-append CAS (which cannot
-        fail in the serial bulk schedule) is tallied as one 32-bit atomic.
-
-        ``warp_ops`` maps each index in ``append_ops`` to the operation index
-        that determines its warp id (identity for the bulk paths; the original
-        batch position for the concurrent fast path, whose arrays are compacted
-        to the replayed subset).  ``on_append`` is invoked as
-        ``on_append(op, bucket, depth)`` after each successful append (the
-        concurrent path records its append log through it).
-        """
-        table = self.table
-        counters = table.device.counters
-        for op in append_ops:
-            bucket = int(buckets[op])
-            depth = int(depths[op])  # chain length before this append
-            warp_op = int(op) if warp_ops is None else int(warp_ops[op])
-            warp = Warp(base_warp + warp_op // WARP_SIZE, counters)
-            try:
-                address = table.alloc.warp_allocate(warp)
-            except AllocationError as error:
-                raise _AppendFailed(int(op), error) from error
-            tally.add("atomic32", 1)
-            slab_map.append(bucket, depth, address)
-            if on_append is not None:
-                on_append(int(op), bucket, depth)
-
-    # ------------------------------------------------------------------ #
-    # Entry point
-    # ------------------------------------------------------------------ #
-
     def run(
         self, op_codes: np.ndarray, keys: np.ndarray, values: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Execute one unscheduled batch, with the kernel picked by its op mix.
-
-        A batch of a single operation type runs that type's bulk kernel,
-        which resolves the whole batch against one snapshot with rank
-        arithmetic; any other batch (mixed types, or codes outside the three)
-        runs the phased concurrent path.  Both produce what the reference
-        driver produces.  Returns the per-operation results in
-        ``concurrent_batch``'s conventions.
-        """
-        if len(op_codes) and bool((op_codes == op_codes[0]).all()):
-            op = int(op_codes[0])
-            if op == C.OP_SEARCH:
-                return self._bulk_search(keys)
-            if op == C.OP_DELETE:
-                return self._bulk_delete(keys)
-            if op == C.OP_INSERT:
-                return self._bulk_insert(op_codes, keys, values)
-        return self._concurrent_batch(op_codes, keys, values)
-
-    # ------------------------------------------------------------------ #
-    # SEARCH
-    # ------------------------------------------------------------------ #
-
-    def _bulk_search(self, queries: np.ndarray) -> np.ndarray:
-        table = self.table
-        cfg = table.config
-        n = len(queries)
-        base_warp, chunks = self._begin_kernel(n)
-        results = np.full(n, C.SEARCH_NOT_FOUND, dtype=np.uint32)
-        if n == 0:
-            return results
-
-        buckets = table.hash_fn.hash_array(queries)
-        snap = _Snapshot(table.lists, cfg, np.unique(buckets))
-        codes, positions = snap.live_first_occurrences()
-        found, index = first_occurrence(codes, combine_codes(buckets, queries))
-
-        pos = positions[index[found]]
-        if cfg.key_value:
-            results[found] = snap.values_at(buckets[found], pos)
-        else:
-            results[found] = queries[found]
-
-        reads = snap.chain_len[buckets].copy()
-        reads[found] = pos // snap.eps + 1
-        iters = int(reads.sum())
-        shuffles = 3 * iters - (0 if cfg.key_value else int(found.sum()))
-
-        tally = CounterTally()
-        self._tally_traversal(
-            tally,
-            iter_instructions=C.SEARCH_ITER_INSTRUCTIONS,
-            chunks=chunks,
-            iters=iters,
-            decodes=iters - n,
-            shuffles=shuffles,
-        )
-        tally.commit(table.device.counters)
-        return results
-
-    # ------------------------------------------------------------------ #
-    # DELETE
-    # ------------------------------------------------------------------ #
-
-    def _bulk_delete(self, keys: np.ndarray) -> np.ndarray:
-        table = self.table
-        cfg = table.config
-        n = len(keys)
-        base_warp, chunks = self._begin_kernel(n)
-        removed = np.zeros(n, dtype=np.uint32)
-        if n == 0:
-            return removed
-
-        buckets = table.hash_fn.hash_array(keys)
-        snap = _Snapshot(table.lists, cfg, np.unique(buckets))
-        codes, positions = snap.live_sorted()
-        query_codes = combine_codes(buckets, keys)
-        starts = np.searchsorted(codes, query_codes, side="left")
-        counts = np.searchsorted(codes, query_codes, side="right") - starts
-        # The r-th delete of a key (in batch order) removes its r-th live
-        # occurrence in scan order; any further deletes traverse the chain
-        # and miss, exactly like deletes of absent keys.
-        ranks = group_ranks(query_codes)
-        found = ranks < counts
-        removed[found] = 1
-
-        pos = positions[starts[found] + ranks[found]]
-        depth = pos // snap.eps
-        reads = snap.chain_len[buckets].copy()
-        reads[found] = depth + 1
-        iters = int(reads.sum())
-        found_count = int(found.sum())
-
-        tombstone = C.DELETED_KEY if cfg.unique_keys else C.EMPTY_KEY
-        slab_map = _SlabMap(snap)
-        bucket_f = buckets[found]
-        lanes = snap.key_lanes[pos % snap.eps]
-        words_per_delete = 1
-        writes = [(lanes, np.full(found_count, tombstone, np.uint32))]
-        if cfg.key_value and tombstone == C.EMPTY_KEY:
-            # Recycled slots must read as a full EMPTY_PAIR (cf. _mark_deleted).
-            words_per_delete = 2
-            writes.append((lanes + 1, np.full(found_count, C.EMPTY_VALUE, np.uint32)))
-        slab_map.scatter(bucket_f, depth, *writes)
-
-        tally = CounterTally()
-        self._tally_traversal(
-            tally,
-            iter_instructions=C.DELETE_ITER_INSTRUCTIONS,
-            chunks=chunks,
-            iters=iters,
-            decodes=iters - n,
-            shuffles=3 * iters - found_count,
-        )
-        tally.add("uncoalesced_write_words", words_per_delete * found_count)
-        tally.commit(table.device.counters)
-        return removed
-
-    # ------------------------------------------------------------------ #
-    # INSERT / REPLACE
-    # ------------------------------------------------------------------ #
-
-    def _bulk_insert(
-        self, op_codes: np.ndarray, keys: np.ndarray, values: Optional[np.ndarray]
-    ) -> np.ndarray:
-        table = self.table
-        buckets = table.hash_fn.hash_array(keys)
-        snap = _Snapshot(table.lists, table.config, np.unique(buckets))
-        if table.config.unique_keys:
-            if not snap.is_canonical():
-                # External mutation produced mid-chain EMPTY slots in a bucket
-                # this batch touches; REPLACE semantics then depend on
-                # empty-vs-match scan races that only the reference schedule
-                # resolves faithfully.
-                return table._reference_concurrent_batch(op_codes, keys, values, None)
-            resolution = self._resolve_unique(snap, keys, buckets)
-        else:
-            resolution = self._resolve_duplicates(snap, buckets)
-        base_warp, chunks = self._begin_kernel(len(keys))
-        tally = CounterTally()
-        failed = self._insert_resolved(tally, _SlabMap(snap), keys, values, resolution, base_warp)
-        # One initial work-queue ballot per warp program started: after a
-        # failed append, later warps never started (generators are lazy).
-        tally.add("warp_ballots", chunks if failed is None else failed.op_index // WARP_SIZE + 1)
-        tally.commit(table.device.counters)
-        if failed is not None:
-            raise failed.error
-        return np.zeros(len(keys), dtype=np.uint32)
-
-    def _resolve_unique(
-        self, snap: _Snapshot, keys: np.ndarray, buckets: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """REPLACE destinations: (buckets, dest position, slot-consuming mask).
-
-        A key already live in its bucket (or inserted earlier in this batch)
-        replaces in place at its first occurrence; each other op claims the
-        bucket's next free slot in arrival order (canonical layout: slot
-        ``occupied + rank``).
-        """
-        n = len(keys)
-        occupied = snap.occupied_counts()
-        codes, positions = snap.live_first_occurrences()
-        query_codes = combine_codes(buckets, keys)
-        matched, index = first_occurrence(codes, query_codes)
-
-        dest = np.empty(n, dtype=np.int64)
-        dest[matched] = positions[index[matched]]
-        consuming = np.zeros(n, dtype=bool)
-
-        new_ops = np.flatnonzero(~matched)
-        if new_ops.size:
-            # Group batch-new ops by (bucket, key): the first occurrence (in
-            # batch order) claims a slot, later occurrences replace in place.
-            order = np.argsort(query_codes[new_ops], kind="stable")
-            run_start = run_starts(query_codes[new_ops][order])
-            run_ids = np.cumsum(run_start) - 1
-            first_ops = new_ops[order[run_start]]  # min op index of each run
-            consuming_ops = np.sort(first_ops) if len(first_ops) < len(new_ops) else new_ops
-            consuming[consuming_ops] = True
-            dest_consuming = occupied[buckets[consuming_ops]] + group_ranks(
-                buckets[consuming_ops]
-            )
-            dest_per_run = dest_consuming[np.searchsorted(consuming_ops, first_ops)]
-            dest_new = np.empty(len(new_ops), dtype=np.int64)
-            dest_new[order] = dest_per_run[run_ids]
-            dest[new_ops] = dest_new
-        return buckets, dest, consuming
-
-    def _resolve_duplicates(
-        self, snap: _Snapshot, buckets: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """INSERT destinations: every op claims the bucket's next EMPTY slot.
-
-        Free slots (including recycled mid-chain ones) are consumed in scan
-        order; overflow continues into appended slabs.
-        """
-        n = len(buckets)
-        empty = snap.slot_key == C.EMPTY_KEY
-        free_pos = snap.slot_pos[empty]
-        free_counts = np.bincount(
-            snap.slot_bucket[empty], minlength=snap.num_buckets
-        ).astype(np.int64)
-        free_offsets = np.zeros(snap.num_buckets + 1, dtype=np.int64)
-        np.cumsum(free_counts, out=free_offsets[1:])
-
-        ranks = group_ranks(buckets)
-        dest = np.empty(n, dtype=np.int64)
-        in_free = ranks < free_counts[buckets]
-        dest[in_free] = free_pos[free_offsets[buckets[in_free]] + ranks[in_free]]
-        overflow = ~in_free
-        capacity = snap.chain_len * snap.eps
-        dest[overflow] = capacity[buckets[overflow]] + (
-            ranks[overflow] - free_counts[buckets[overflow]]
-        )
-        return buckets, dest, np.ones(n, dtype=bool)
-
-    def _insert_resolved(
-        self,
-        tally: CounterTally,
-        slab_map: _SlabMap,
-        keys: np.ndarray,
-        values: Optional[np.ndarray],
-        resolution: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        base_warp: int,
-        *,
-        warp_ops: Optional[np.ndarray] = None,
-        on_append: Optional[Callable[[int, int, int], None]] = None,
-    ) -> Optional[_AppendFailed]:
-        """Append, count and write resolved insertions executed in array order.
-
-        Tallies every event of the insert programs except their initial
-        work-queue ballots, which depend on how the caller's programs are
-        laid out.  ``warp_ops`` and ``on_append`` pass through to
-        :meth:`_process_appends`.  When an append fails, the operations
-        before the failing one executed fully, the failing one traversed its
-        chain and died inside ``warp_allocate`` (whose own events the real
-        allocator already charged), and later ones never ran; the failure is
-        returned for the caller to raise after committing the tally.
-        """
-        cfg = self.table.config
-        buckets, dest, consuming = resolution
-        eps = slab_map.snap.eps
-        capacity = slab_map.snap.chain_len * eps
-        depth = dest // eps
-
-        # A slot-consuming op whose destination is the first slot past the
-        # current capacity appends a slab: it traverses to the tail, allocates,
-        # CASes the pointer, re-reads the tail and follows into the new slab.
-        append_ops = np.flatnonzero(consuming & (dest % eps == 0) & (dest >= capacity[buckets]))
-        reads = depth + 1
-        decodes = depth.copy()
-        if append_ops.size:
-            reads[append_ops] += 1
-            decodes[append_ops] += (depth[append_ops] > 1).astype(np.int64)
-
-        failed: Optional[_AppendFailed] = None
-        try:
-            self._process_appends(
-                tally, slab_map, append_ops, buckets, depth, base_warp,
-                warp_ops=warp_ops, on_append=on_append,
-            )
-        except _AppendFailed as failure:
-            failed = failure
-        done = len(keys) if failed is None else failed.op_index
-        iters = int(reads[:done].sum())
-        base_shuffles = 3 if cfg.key_value else 2
-        shuffles = base_shuffles * iters + (iters - done)
-        traversal_decodes = int(decodes[:done].sum())
-        if failed is not None:
-            chain = int(depth[done])  # tail depth the failing op reached
-            iters += chain
-            shuffles += (base_shuffles + 1) * chain
-            traversal_decodes += chain - 1
-            # Its last iteration issued the candidate ballot but died before
-            # the end-of-loop work-queue ballot.
-            tally.add("warp_ballots", -1)
-        self._tally_traversal(
-            tally,
-            iter_instructions=C.REPLACE_ITER_INSTRUCTIONS,
-            chunks=0,
-            iters=iters,
-            decodes=traversal_decodes,
-            shuffles=shuffles,
-        )
-        if cfg.key_value:
-            tally.add("atomic64", done)
-        else:
-            # Key-only REPLACE of an already-present key is a no-op (no CAS);
-            # only slot-claiming insertions issue the 32-bit CAS.
-            tally.add("atomic32", int(consuming[:done].sum()))
-        self._apply_insert_writes(keys, values, slab_map, buckets, dest, consuming, done)
-        return failed
-
-    def _apply_insert_writes(
-        self,
-        keys: np.ndarray,
-        values: Optional[np.ndarray],
-        slab_map: _SlabMap,
-        buckets: np.ndarray,
-        dest: np.ndarray,
-        consuming: np.ndarray,
-        limit: int,
-    ) -> None:
-        """Write resolved insertions into the stores (ops ``< limit`` only).
-
-        Key-value REPLACE CASes (key, value) for every op (replacing in place
-        re-writes the pair), key-only mode only writes newly claimed slots.
-        The last write to a slot wins, as in serial order.
-        """
-        cfg = self.table.config
-        snap = slab_map.snap
-        write_ops = (
-            np.arange(limit, dtype=np.int64)
-            if cfg.key_value
-            else np.flatnonzero(consuming[:limit])
-        )
-        if not write_ops.size:
-            return
-        if bool(consuming[:limit].all()) or not cfg.key_value:
-            # Every written slot is distinct (slot-claiming ops claim distinct
-            # slots; key-only mode writes nothing else).
-            keep = write_ops
-        else:
-            slot_ids = buckets[write_ops] * (int(dest.max()) + 1) + dest[write_ops]
-            # Keep the last write per slot: reverse before marking run starts.
-            order = np.argsort(slot_ids, kind="stable")[::-1]
-            keep = write_ops[order[run_starts(slot_ids[order])]]
-
-        lanes = snap.key_lanes[dest[keep] % snap.eps]
-        writes = [(lanes, keys[keep])]
-        if cfg.key_value:
-            writes.append((lanes + 1, values[keep]))
-        slab_map.scatter(buckets[keep], dest[keep] // snap.eps, *writes)
-
-    # ------------------------------------------------------------------ #
-    # CONCURRENT MIXED BATCHES (unscheduled; Figure 7 fast path)
-    # ------------------------------------------------------------------ #
-
-    def _concurrent_batch(
-        self,
-        op_codes: np.ndarray,
-        keys: np.ndarray,
-        values: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Resolve an *unscheduled* mixed batch on the phased serial schedule.
+        """Execute one unscheduled batch on the phased serial schedule.
 
         Mirrors ``run_sequential`` over the reference driver's per-chunk
         (insert, delete, search) programs: operations execute serially in
         ``(chunk, phase, lane)`` order, so results, final table state and the
         synthesized counters are bit-identical to the reference generators.
-        Interleaved phases mutate the chains later phases traverse, so the
-        batch splits into two resolution strategies:
+        A bulk op is a batch whose operations share one op code.  The batch
+        splits into two resolution strategies:
 
-        * **Schedule-dependent operations** are replayed serially against
-          incremental per-bucket slot lists: all insertions, plus deletions
-          and searches whose key some other operation in the batch also
-          touches.  Slab appends call the real allocator under the triggering
-          warp's id in global order.
         * **Schedule-invariant operations** resolve vectorized against the
-          snapshot, like the bulk paths: searches of keys no mutation
-          touches, and (under unique keys) single deletions of keys nothing
-          else touches — the key's occurrence set cannot change before they
-          run.  Only a *miss* traversal length depends on time (chains grow
-          as earlier insertions append slabs); it is reconstructed from the
-          append log with ``searchsorted``.
+          snapshot: every deletion and search whose key no insertion of the
+          batch names.  (With duplicates allowed, a deletion in a bucket an
+          insertion targets is not one: it recycles its slot as EMPTY, which
+          the insertion may claim.)  Such a key only ever loses its first
+          live occurrence, so an operation preceded by ``d`` deletions of its
+          key sees the key's ``d``-th live snapshot occurrence: a deletion
+          tombstones it, a search returns it.  Without one the operation
+          misses after traversing the whole chain, whose length at the
+          operation's rank is the snapshot chain plus the slabs earlier
+          insertions appended, read off the append log.
+        * **Every other operation** is replayed serially against incremental
+          per-bucket slot lists.  When only insertions replay, the replay is
+          the REPLACE/INSERT rank arithmetic against the snapshot instead:
+          the vectorized tombstones only turn live slots into non-EMPTY
+          tombstones, which neither the canonical layout nor the occupied
+          counts depend on.  Slab appends call the real allocator under the
+          triggering warp's id in global order.
 
         State changes are collected in a write log (slot-granular, last write
-        wins) and scattered into the stores in one vectorized pass.
+        wins) and scattered into the stores in one vectorized pass.  Returns
+        the per-operation results in ``concurrent_batch``'s conventions.
         """
         table = self.table
         cfg = table.config
+        n = len(keys)
         buckets = table.hash_fn.hash_array(keys)
         snap = _Snapshot(table.lists, cfg, np.unique(buckets))
-        if cfg.unique_keys and not snap.is_canonical():
-            # Same guard as _bulk_insert: non-canonical REPLACE scan races are
-            # only resolved faithfully by the reference schedule.
+        inserts = op_codes == C.OP_INSERT
+        if cfg.unique_keys and bool(inserts.any()) and not snap.is_canonical():
+            # Mid-chain EMPTY slots (only reachable by external mutation) in a
+            # bucket the batch touches: REPLACE semantics then depend on
+            # empty-vs-match scan races only the reference schedule resolves.
             return table._reference_concurrent_batch(op_codes, keys, values, None)
 
-        n = len(keys)
-        base_warp, chunks = self._begin_kernel(n)
+        # Mirror the reference launch, which reserves every chunk's warp id.
+        table.device.launch_kernel()
+        base_warp = table._warp_counter
+        table._warp_counter += math.ceil(n / WARP_SIZE)
+        results = np.zeros(n, dtype=np.uint32)
         if n == 0:
-            return np.zeros(0, dtype=np.uint32)
+            return results
 
         # Operations with codes outside {INSERT, DELETE, SEARCH} join no
         # program in the reference driver; they occupy warp slots but execute
         # nothing and leave their result at 0.
         phases_all = np.full(n, -1, dtype=np.int64)
-        phases_all[op_codes == C.OP_INSERT] = 0
+        phases_all[inserts] = 0
         phases_all[op_codes == C.OP_DELETE] = 1
         phases_all[op_codes == C.OP_SEARCH] = 2
         valid = np.flatnonzero(phases_all >= 0)
@@ -839,37 +432,18 @@ class BulkExecutor:
         serial_all = valid[order]  # op indices in serial execution order
         phases_serial = phases_all[serial_all]
         skeys = keys[serial_all]
-
-        # --- split schedule-resolvable operations out of the serial replay ---
-        # Group operations by key once; per-key phase counts decide which
-        # operations genuinely need the serial replay.  Keys nothing inserts
-        # have a frozen occurrence set except for (under unique keys) a single
-        # deletion, whose serial rank fully determines what each search of
-        # that key observes — no replay needed for any of them.
+        is_insert = phases_serial == 0
         is_delete = phases_serial == 1
-        is_search = phases_serial == 2
-        _, inv = np.unique(skeys, return_inverse=True)
-        num_groups = int(inv.max()) + 1 if inv.size else 0
-        has_insert = (np.bincount(inv[phases_serial == 0], minlength=num_groups) > 0)[inv]
-        delete_count = np.bincount(inv[is_delete], minlength=num_groups)[inv]
-        no_rank = len(serial_all) + 1
-        delete_rank = np.full(num_groups, no_rank, dtype=np.int64)
-        delete_rank[inv[is_delete]] = np.flatnonzero(is_delete)
-        if cfg.unique_keys:
-            # A single deletion of a never-inserted key tombstones a slot no
-            # replayed operation ever looks at; searches of that key hit the
-            # snapshot before the deletion's rank and miss after it.  (With
-            # duplicates allowed, deletions recycle slots as EMPTY, which
-            # later insertions claim — those stay in the replay.)
-            vec_delete = is_delete & ~has_insert & (delete_count == 1)
-            vec_search = is_search & ~has_insert & (delete_count <= 1)
-        else:
-            vec_delete = np.zeros(len(serial_all), dtype=bool)
-            vec_search = is_search & ~has_insert & (delete_count == 0)
 
-        replay_serial = np.flatnonzero(~(vec_search | vec_delete))
+        invariant = ~is_insert
+        if bool(is_insert.any()) and bool(invariant.any()):
+            invariant &= ~np.isin(skeys, skeys[is_insert])
+            if not cfg.unique_keys:
+                sbuckets = buckets[serial_all]
+                invariant &= ~(is_delete & np.isin(sbuckets, sbuckets[is_insert]))
+        vec_serial = np.flatnonzero(invariant)
+        replay_serial = np.flatnonzero(~invariant)
         replay_ops_arr = serial_all[replay_serial]
-        replay_serial_l = replay_serial.tolist()
 
         eps = snap.eps
         kv = cfg.key_value
@@ -883,7 +457,6 @@ class BulkExecutor:
 
         slab_map = _SlabMap(snap)
         counters = table.device.counters
-        results_l = [0] * n
         #: one (bucket, serial rank) entry per appended slab, in append order
         append_buckets: List[int] = []
         append_ranks: List[int] = []
@@ -902,55 +475,79 @@ class BulkExecutor:
         position = 0
         error: Optional[AllocationError] = None
 
-        # The Gamma workloads usually leave a pure-insert replay (their
-        # deletions and searches are schedule-resolvable), and insertions
-        # against a static snapshot are exactly what the bulk REPLACE/INSERT
-        # rank arithmetic resolves — the vectorized tombstones only turn live
-        # slots into non-EMPTY tombstones, which neither the canonical layout
-        # nor the snapshot's occupied counts depend on.  Skip the serial
-        # replay loop entirely in that case.
-        pure_insert = (
-            replay_serial.size > 0 and int(phases_serial[replay_serial].max()) == 0
-        )
-
+        pure_insert = bool(replay_serial.size) and not phases_serial[replay_serial].any()
         if pure_insert:
-            rkeys = keys[replay_ops_arr]
+            # Only insertions replay (insert batches, and the Gamma mixes):
+            # against the static snapshot they resolve by rank arithmetic.
+            r_keys = keys[replay_ops_arr]
             r_buckets = buckets[replay_ops_arr]
             if replace:
-                resolution = self._resolve_unique(snap, rkeys, r_buckets)
+                dest, consuming = self._resolve_unique(snap, r_keys, r_buckets)
             else:
-                resolution = self._resolve_duplicates(snap, r_buckets)
-
-            def log_append(local: int, bucket: int, chain: int) -> None:
-                append_buckets.append(bucket)
-                append_ranks.append(replay_serial_l[local])
-
-            failed = self._insert_resolved(
-                tally, slab_map, rkeys, values[replay_ops_arr] if kv else None,
-                resolution, base_warp, warp_ops=replay_ops_arr, on_append=log_append,
+                dest, consuming = self._resolve_duplicates(snap, r_buckets)
+            depth = dest // eps
+            # A slot-consuming op whose destination is the first slot past the
+            # current capacity appends a slab: it traverses to the tail,
+            # allocates, CASes the pointer, re-reads the tail and follows.
+            appends = np.flatnonzero(
+                consuming & (dest % eps == 0) & (depth >= snap.chain_len[r_buckets])
             )
-            if failed is not None:
-                error = failed.error
-                position = failed.op_index
+            done = len(r_keys)
+            for local in appends.tolist():
+                warp = Warp(base_warp + int(replay_ops_arr[local]) // WARP_SIZE, counters)
+                try:
+                    address = table.alloc.warp_allocate(warp)
+                except AllocationError as failure:
+                    done, error = local, failure
+                    break
+                atomic32 += 1  # the pointer-append CAS (cannot fail)
+                slab_map.append(int(r_buckets[local]), int(depth[local]), address)
+            appended = appends[appends < done]
+            append_buckets = r_buckets[appended].tolist()
+            append_ranks = replay_serial[appended].tolist()
+            # An insertion visits its destination's slab and those before it,
+            # plus the re-read tail when it appends.
+            iters = int(depth[:done].sum()) + done + len(appended)
+            upsert_iters += iters
+            decodes += int(depth[:done].sum()) + int((depth[appended] > 1).sum())
+            shuffles += base_sh * iters + (iters - done)
+            if kv:
+                atomic64 += done
+            else:
+                # Key-only REPLACE of an already-present key is a no-op (no
+                # CAS); only slot-claiming insertions issue the 32-bit CAS.
+                atomic32 += int(consuming[:done].sum())
+            if error is not None:
+                # The failing op traversed to its chain's tail and died in
+                # warp_allocate, as in the replay loop below.
+                chain = int(depth[done])
+                upsert_iters += chain
+                decodes += chain - 1
+                shuffles += (base_sh + 1) * chain
+                ballot_adjust = -1
+                position = done
+            self._apply_insert_writes(
+                r_keys, values[replay_ops_arr] if kv else None,
+                slab_map, r_buckets, dest, consuming, done,
+            )
 
         # Python-native views for the replay loop (plain ints and list slices
         # are much faster than NumPy scalars and per-bucket array calls).
         if pure_insert or not replay_serial.size:
             replay_ops, replay_phases, replay_keys, replay_buckets = [], [], [], []
-            models: Dict[int, List[object]] = {}
-            values_l = slot_keys_all = vals_all = slot_off = chain_l = None
+            replay_results: List[int] = []
         else:
             replay_ops = replay_ops_arr.tolist()
             replay_phases = phases_serial[replay_serial].tolist()
             replay_keys = keys[replay_ops_arr].tolist()
             replay_buckets = buckets[replay_ops_arr].tolist()
+            replay_ranks = replay_serial.tolist()
+            replay_results = [0] * len(replay_ops)
             values_l = values.tolist() if kv else None
             slot_keys_flat = snap.slot_key
             vals_flat = snap.words[:, snap.key_lanes + 1].ravel() if kv else None
-            slot_off = snap.offsets
-            chain_arr = snap.chain_len
             #: bucket -> [slot keys (scan order), slot values or None, chain]
-            models = {}
+            models: Dict[int, List[object]] = {}
 
         for op, phase, bucket, key in zip(replay_ops, replay_phases, replay_buckets, replay_keys):
             try:
@@ -958,8 +555,8 @@ class BulkExecutor:
             except KeyError:
                 # Lazy per-bucket materialization: only buckets the replay
                 # actually touches pay the array-to-list conversion.
-                chain_len = int(chain_arr[bucket])
-                lo = int(slot_off[bucket]) * eps
+                chain_len = int(snap.chain_len[bucket])
+                lo = int(snap.offsets[bucket]) * eps
                 hi = lo + chain_len * eps
                 model = models[bucket] = [
                     slot_keys_flat[lo:hi].tolist(),
@@ -974,11 +571,11 @@ class BulkExecutor:
                 except ValueError:
                     iters = model[2]
                     shuffles += 3 * iters
-                    results_l[op] = not_found
+                    replay_results[position] = not_found
                 else:
                     iters = slot // eps + 1
                     shuffles += 3 * iters - (0 if kv else 1)
-                    results_l[op] = model[1][slot] if kv else key
+                    replay_results[position] = model[1][slot] if kv else key
                 search_iters += iters
                 decodes += iters - 1
             elif phase == 1:  # DELETE
@@ -1000,7 +597,7 @@ class BulkExecutor:
                         vlog_pos.append(slot)
                         vlog_word.append(empty_value)
                     write_words += delete_words
-                    results_l[op] = 1
+                    replay_results[position] = 1
                 delete_iters += iters
                 decodes += iters - 1
             else:  # INSERT / REPLACE
@@ -1052,7 +649,7 @@ class BulkExecutor:
                     atomic32 += 1  # the pointer-append CAS (cannot fail)
                     slab_map.append(bucket, chain, address)
                     append_buckets.append(bucket)
-                    append_ranks.append(replay_serial_l[position])
+                    append_ranks.append(replay_ranks[position])
                     slots.extend([empty] * eps)
                     if kv:
                         model[1].extend([empty_value] * eps)
@@ -1088,6 +685,8 @@ class BulkExecutor:
                     else:
                         atomic32 += 1
             position += 1
+        if replay_results:
+            results[replay_ops_arr] = replay_results
 
         # One initial work-queue ballot per program *started*.  On the happy
         # path every program runs; after a mid-batch allocation failure only
@@ -1096,86 +695,75 @@ class BulkExecutor:
         # and schedule-invariant operations only count if they precede it.
         if error is None:
             programs = int(program_start.sum())
-            vec_search_serial = np.flatnonzero(vec_search)
-            vec_delete_serial = np.flatnonzero(vec_delete)
         else:
-            failed_rank = replay_serial_l[position]
+            failed_rank = int(replay_serial[position])
             programs = int(program_start[: failed_rank + 1].sum())
-            vec_search_serial = np.flatnonzero(vec_search[:failed_rank])
-            vec_delete_serial = np.flatnonzero(vec_delete[:failed_rank])
-        results = np.asarray(results_l, dtype=np.uint32)
+            vec_serial = vec_serial[vec_serial < failed_rank]
 
-        vec_tombstones: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if vec_search_serial.size or vec_delete_serial.size:
-            codes, positions = snap.live_first_occurrences()
+        if vec_serial.size:
+            v_ops = serial_all[vec_serial]
+            v_keys = keys[v_ops]
+            v_buckets = buckets[v_ops]
+            v_delete = is_delete[vec_serial]
+            stride = len(serial_all) + 1  # above every serial rank
+            # Live slots sorted by (bucket, key, scan position): the d-th live
+            # occurrence of a key, d = the deletions of the key ranked before
+            # the operation, sits d places after its first one.
+            codes, positions = snap.live_sorted()
+            query = combine_codes(v_buckets, v_keys)
+            slot = np.searchsorted(codes, query)
+            if is_delete.any():
+                slot += _count_earlier(
+                    skeys[is_delete], np.flatnonzero(is_delete), v_keys, vec_serial, stride
+                )
+            found = slot < len(codes)
+            found[found] = codes[slot[found]] == query[found]
+            pos = positions[slot[found]]
+            iters = snap.chain_len[v_buckets]
             if append_buckets:
-                stride = len(serial_all) + 1
-                append_codes = np.asarray(append_buckets, dtype=np.int64) * stride + np.asarray(
-                    append_ranks, dtype=np.int64
+                iters = iters + _count_earlier(
+                    np.asarray(append_buckets, dtype=np.int64),
+                    np.asarray(append_ranks, dtype=np.int64),
+                    v_buckets, vec_serial, stride,
                 )
-                append_codes.sort()
+            iters[found] = pos // eps + 1
+            vec_iters = int(iters.sum())
+            vec_delete_iters = int(iters[v_delete].sum())
+            delete_iters += vec_delete_iters
+            search_iters += vec_iters - vec_delete_iters
+            decodes += vec_iters - len(v_ops)
+            hit_delete = found & v_delete
+            hit_search = found & ~v_delete
+            deleted = int(hit_delete.sum())
+            shuffles += 3 * vec_iters - deleted - (0 if kv else int(hit_search.sum()))
+            write_words += delete_words * deleted
 
-            def chains_at(miss_buckets: np.ndarray, miss_ranks: np.ndarray) -> np.ndarray:
-                """Chain length of each bucket at the given serial rank.
-
-                The snapshot chain plus every slab appended by an earlier
-                (lower serial rank) operation on the same bucket.
-                """
-                chains = snap.chain_len[miss_buckets]
-                if not append_buckets:
-                    return chains
-                lo = miss_buckets * stride
-                return chains + (
-                    np.searchsorted(append_codes, lo + miss_ranks)
-                    - np.searchsorted(append_codes, lo)
-                )
-
-            if vec_search_serial.size:
-                vec_ops = serial_all[vec_search_serial]
-                vq_keys = keys[vec_ops]
-                vq_buckets = buckets[vec_ops]
-                found, index = first_occurrence(codes, combine_codes(vq_buckets, vq_keys))
-                # A search past its key's (single) deletion rank misses; with
-                # no deletion of the key, delete_rank sorts after everything.
-                found &= vec_search_serial < delete_rank[inv[vec_search_serial]]
-                pos = positions[index[found]]
-                if error is None:
-                    if kv:
-                        results[vec_ops] = not_found
-                        results[vec_ops[found]] = snap.values_at(vq_buckets[found], pos)
-                    else:
-                        results[vec_ops] = np.where(found, vq_keys, np.uint32(not_found))
-                miss = ~found
-                vec_iters = int((pos // eps + 1).sum()) + int(
-                    chains_at(vq_buckets[miss], vec_search_serial[miss]).sum()
-                )
-                search_iters += vec_iters
-                decodes += vec_iters - int(vec_ops.size)
-                shuffles += 3 * vec_iters - (0 if kv else int(found.sum()))
-
-            if vec_delete_serial.size:
-                vd_ops = serial_all[vec_delete_serial]
-                vd_keys = keys[vd_ops]
-                vd_buckets = buckets[vd_ops]
-                found, index = first_occurrence(codes, combine_codes(vd_buckets, vd_keys))
-                pos = positions[index[found]]
-                found_count = int(found.sum())
-                results[vd_ops[found]] = 1
-                miss = ~found
-                vec_iters = int((pos // eps + 1).sum()) + int(
-                    chains_at(vd_buckets[miss], vec_delete_serial[miss]).sum()
-                )
-                delete_iters += vec_iters
-                decodes += vec_iters - int(vd_ops.size)
-                shuffles += 3 * vec_iters - found_count
-                write_words += found_count  # unique mode: one tombstone word
-                vec_tombstones = (vd_buckets[found], pos)
+            out = np.where(v_delete, np.uint32(0), np.uint32(not_found))
+            out[hit_delete] = 1
+            if kv:
+                out[hit_search] = snap.values_at(v_buckets[hit_search], pos[hit_search[found]])
+            else:
+                out[hit_search] = v_keys[hit_search]
+            results[v_ops] = out
+            if deleted:
+                # Distinct slots that no replayed operation writes: a replayed
+                # operation in the same bucket never touches the deleted key,
+                # and with duplicates allowed none shares the bucket at all.
+                t_pos = pos[v_delete[found]]
+                lanes = snap.key_lanes[t_pos % eps]
+                writes = [(lanes, np.full(deleted, tombstone, dtype=np.uint32))]
+                if kv and not replace:
+                    # Recycled slots must read as a full EMPTY_PAIR (cf. _mark_deleted).
+                    writes.append((lanes + 1, np.full(deleted, empty_value, dtype=np.uint32)))
+                slab_map.scatter(v_buckets[hit_delete], t_pos // eps, *writes)
 
         decode_wi, decode_shared = self._decode_cost
         total_iters = upsert_iters + delete_iters + search_iters
         tally.add("coalesced_read_transactions", total_iters)
         tally.add("warp_ballots", programs + 2 * total_iters + ballot_adjust)
         tally.add("warp_shuffles", shuffles)
+        # Per iteration: charge(ITER) + first_set_lane(work queue) +
+        # first_set_lane(dest/found).
         tally.add(
             "warp_instructions",
             (C.REPLACE_ITER_INSTRUCTIONS + 2) * upsert_iters
@@ -1188,10 +776,6 @@ class BulkExecutor:
         tally.add("atomic64", atomic64)
         tally.add("uncoalesced_write_words", write_words)
 
-        if vec_tombstones is not None:
-            klog_bucket.extend(vec_tombstones[0].tolist())
-            klog_pos.extend(vec_tombstones[1].tolist())
-            klog_word.extend([tombstone] * len(vec_tombstones[0]))
         self._scatter_lane_writes(slab_map, klog_bucket, klog_pos, klog_word, 0)
         if kv:
             self._scatter_lane_writes(slab_map, vlog_bucket, vlog_pos, vlog_word, 1)
@@ -1199,6 +783,118 @@ class BulkExecutor:
         if error is not None:
             raise error
         return results
+
+    # ------------------------------------------------------------------ #
+    # Insertion rank arithmetic (only insertions replay)
+    # ------------------------------------------------------------------ #
+
+    def _resolve_unique(
+        self, snap: _Snapshot, keys: np.ndarray, buckets: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """REPLACE destinations: (dest position, slot-consuming mask).
+
+        A key already live in its bucket (or inserted earlier in this batch)
+        replaces in place at its first occurrence; each other op claims the
+        bucket's next free slot in arrival order (canonical layout: slot
+        ``occupied + rank``).
+        """
+        n = len(keys)
+        occupied = snap.occupied_counts()
+        codes, positions = snap.live_first_occurrences()
+        query_codes = combine_codes(buckets, keys)
+        matched, index = first_occurrence(codes, query_codes)
+
+        dest = np.empty(n, dtype=np.int64)
+        dest[matched] = positions[index[matched]]
+        consuming = np.zeros(n, dtype=bool)
+
+        new_ops = np.flatnonzero(~matched)
+        if new_ops.size:
+            # Group batch-new ops by (bucket, key): the first occurrence (in
+            # batch order) claims a slot, later occurrences replace in place.
+            order = np.argsort(query_codes[new_ops], kind="stable")
+            run_start = run_starts(query_codes[new_ops][order])
+            run_ids = np.cumsum(run_start) - 1
+            first_ops = new_ops[order[run_start]]  # min op index of each run
+            consuming_ops = np.sort(first_ops) if len(first_ops) < len(new_ops) else new_ops
+            consuming[consuming_ops] = True
+            dest_consuming = occupied[buckets[consuming_ops]] + group_ranks(
+                buckets[consuming_ops]
+            )
+            dest_per_run = dest_consuming[np.searchsorted(consuming_ops, first_ops)]
+            dest_new = np.empty(len(new_ops), dtype=np.int64)
+            dest_new[order] = dest_per_run[run_ids]
+            dest[new_ops] = dest_new
+        return dest, consuming
+
+    def _resolve_duplicates(
+        self, snap: _Snapshot, buckets: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """INSERT destinations: every op claims the bucket's next EMPTY slot.
+
+        Free slots (including recycled mid-chain ones) are consumed in scan
+        order; overflow continues into appended slabs.
+        """
+        n = len(buckets)
+        empty = snap.slot_key == C.EMPTY_KEY
+        free_pos = snap.slot_pos[empty]
+        free_counts = np.bincount(
+            snap.slot_bucket[empty], minlength=snap.num_buckets
+        ).astype(np.int64)
+        free_offsets = np.zeros(snap.num_buckets + 1, dtype=np.int64)
+        np.cumsum(free_counts, out=free_offsets[1:])
+
+        ranks = group_ranks(buckets)
+        dest = np.empty(n, dtype=np.int64)
+        in_free = ranks < free_counts[buckets]
+        dest[in_free] = free_pos[free_offsets[buckets[in_free]] + ranks[in_free]]
+        overflow = ~in_free
+        capacity = snap.chain_len * snap.eps
+        dest[overflow] = capacity[buckets[overflow]] + (
+            ranks[overflow] - free_counts[buckets[overflow]]
+        )
+        return dest, np.ones(n, dtype=bool)
+
+    def _apply_insert_writes(
+        self,
+        keys: np.ndarray,
+        values: Optional[np.ndarray],
+        slab_map: _SlabMap,
+        buckets: np.ndarray,
+        dest: np.ndarray,
+        consuming: np.ndarray,
+        limit: int,
+    ) -> None:
+        """Write resolved insertions into the stores (ops ``< limit`` only).
+
+        Key-value REPLACE CASes (key, value) for every op (replacing in place
+        re-writes the pair), key-only mode only writes newly claimed slots.
+        The last write to a slot wins, as in serial order.
+        """
+        cfg = self.table.config
+        snap = slab_map.snap
+        write_ops = (
+            np.arange(limit, dtype=np.int64)
+            if cfg.key_value
+            else np.flatnonzero(consuming[:limit])
+        )
+        if not write_ops.size:
+            return
+        if bool(consuming[:limit].all()) or not cfg.key_value:
+            # Every written slot is distinct (slot-claiming ops claim distinct
+            # slots; key-only mode writes nothing else).
+            keep = write_ops
+        else:
+            slot_ids = buckets[write_ops] * (int(dest.max()) + 1) + dest[write_ops]
+            # Keep the last write per slot: reverse before marking run starts.
+            order = np.argsort(slot_ids, kind="stable")[::-1]
+            keep = write_ops[order[run_starts(slot_ids[order])]]
+
+        lanes = snap.key_lanes[dest[keep] % snap.eps]
+        writes = [(lanes, keys[keep])]
+        if cfg.key_value:
+            writes.append((lanes + 1, values[keep]))
+        slab_map.scatter(buckets[keep], dest[keep] // snap.eps, *writes)
 
     def _scatter_lane_writes(
         self,

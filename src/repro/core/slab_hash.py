@@ -26,9 +26,9 @@ The two batch levels share one driver: a bulk op is a batch whose
 operations share one op code.  Every batch is validated, split by the
 migration watermark and scattered back once (``SlabHash._run``), then runs
 either on the reference generator schedule or, on the ``"vectorized"``
-backend without a scheduler, through
-:meth:`BulkExecutor.run <repro.core.bulk_exec.BulkExecutor.run>`, which
-picks its kernel by the batch's op mix.
+backend without a scheduler, through the one phased kernel
+:meth:`BulkExecutor.run <repro.core.bulk_exec.BulkExecutor.run>`, whatever
+the batch's op mix.
 
 Throughput numbers are obtained by measuring the device counters around a
 bulk/concurrent call and applying :class:`repro.gpusim.costmodel.CostModel`;
@@ -97,8 +97,8 @@ class SlabHash:
         :mod:`repro.core.bulk_exec`) or ``"reference"`` (the per-warp
         generator schedule).  Covers every batch — the ``bulk_*``
         operations and *unscheduled* ``concurrent_batch`` calls
-        (``scheduler=None``, the deterministic phased schedule), with the
-        vectorized kernel chosen by the batch's op mix; passing an explicit
+        (``scheduler=None``, the deterministic phased schedule), which the
+        vectorized backend runs through one phased kernel; passing an explicit
         :class:`~repro.gpusim.scheduler.WarpScheduler` always runs the
         reference generators, since seeded interleavings are the whole point
         there.  ``None`` picks the process-wide default

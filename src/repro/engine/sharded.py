@@ -286,7 +286,7 @@ class ShardedSlabHash:
         independent devices, so there is no cross-shard interleaving to
         model.  Without it (the default) every shard drains its sub-stream
         on the deterministic phased schedule, which the vectorized backend
-        runs on its concurrent fast path.  Results come back in stream order
+        runs on its phased kernel.  Results come back in stream order
         with SlabHash's conventions: found value for searches, 1/0 for
         deletions, 0 for insertions.
         """

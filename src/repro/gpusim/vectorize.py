@@ -1,7 +1,7 @@
 """Array-level helpers for the vectorized bulk-execution backend.
 
 The vectorized backend (:mod:`repro.core.bulk_exec`) replaces the per-warp
-generator schedule of the bulk operations with batched NumPy resolution.  To
+generator schedule of unscheduled batches with batched NumPy resolution.  To
 keep the device counters *bit-identical* to the sequential reference schedule
 it synthesizes every event the generators would have recorded; this module
 holds the pieces of that machinery that are pure array manipulation and know
@@ -11,13 +11,13 @@ nothing about slabs:
   :class:`~repro.gpusim.counters.Counters` that collects synthesized event
   totals as plain integers and commits them to the live counters in one step.
 * :func:`group_ranks` — the arrival rank of every element within its group,
-  the core primitive behind "the r-th delete of key k removes the r-th
-  occurrence" and "the r-th new key of bucket b takes the r-th free slot".
+  the core primitive behind "the r-th new key of bucket b takes the r-th
+  free slot".
 * :func:`combine_codes` / :func:`first_occurrence` — (bucket, key) group codes
   and first-occurrence resolution in table scan order.
-* :func:`phased_order` — the serial execution order of a phased mixed-op
-  schedule (the ``concurrent_batch`` fast path): per warp chunk, one program
-  per operation phase present, drained sequentially.
+* :func:`phased_order` — the serial execution order of a phased batch
+  (the vectorized batch kernel): per warp chunk, one program per operation
+  phase present, drained sequentially.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def group_ranks(codes: np.ndarray) -> np.ndarray:
     """Arrival rank (0-based) of each element within its equal-code group.
 
     ``group_ranks([7, 3, 7, 7, 3]) == [0, 0, 1, 2, 1]``.  Ranks follow array
-    order, which for the bulk backend is exactly the serial execution order of
-    the reference schedule.
+    order, which for a batch of one op type is exactly the serial execution
+    order of the reference schedule.
     """
     codes = np.asarray(codes)
     n = len(codes)
@@ -113,20 +113,16 @@ def phased_order(chunk_ids: np.ndarray, phases: np.ndarray) -> Tuple[np.ndarray,
     execution order of the operations is therefore ``(chunk, phase, lane)``.
 
     ``chunk_ids[i]`` / ``phases[i]`` give operation ``i``'s warp chunk and
-    phase rank (both already in lane order within each chunk).  Returns
-    ``(order, program_start)``: ``order`` permutes operations into serial
-    execution order, and ``program_start[j]`` is True when the ``j``-th
-    operation *in serial order* is the first of its (chunk, phase) program —
-    i.e. the operation whose program issues the initial work-queue ballot.
+    phase rank (0, 1 or 2; both already in lane order within each chunk).
+    Returns ``(order, program_start)``: ``order`` permutes operations into
+    serial execution order, and ``program_start[j]`` is True when the
+    ``j``-th operation *in serial order* is the first of its (chunk, phase)
+    program — i.e. the operation whose program issues the initial
+    work-queue ballot.
     """
-    chunk_ids = np.asarray(chunk_ids, dtype=np.int64)
-    phases = np.asarray(phases, dtype=np.int64)
-    order = np.lexsort((np.arange(len(chunk_ids)), phases, chunk_ids))
-    if len(order) == 0:
-        return order, np.zeros(0, dtype=bool)
-    stride = int(phases.max()) + 1 if len(phases) else 1
-    codes = chunk_ids[order] * stride + phases[order]
-    return order, run_starts(codes)
+    programs = np.asarray(chunk_ids, dtype=np.int64) * 3 + np.asarray(phases, dtype=np.int64)
+    order = np.argsort(programs, kind="stable")  # stable: lanes stay ascending
+    return order, run_starts(programs[order])
 
 
 def first_occurrence(

@@ -5,7 +5,7 @@ scales it *out*, this package makes it *servable*: callers await single
 operations or whole arrays, admissions are routed to per-shard operation
 logs as NumPy chunks (one future per admission, not per operation), and one
 drain task per shard cuts warp-aligned mixed batches and runs them through
-the shard's ``concurrent_batch`` — on the vectorized concurrent fast path
+the shard's ``concurrent_batch`` — on the vectorized backend's phased kernel
 by default, with WAL appends group-committed across a drain round.
 
 * :class:`~repro.service.batcher.MicroBatcher` — the event-loop-agnostic

@@ -1,18 +1,19 @@
-"""Equivalence suite for the concurrent fast path: vectorized vs reference.
+"""Equivalence suite for unscheduled batches: vectorized vs reference.
 
 An *unscheduled* ``concurrent_batch`` (``scheduler=None``) drains one warp
 program per (chunk, phase) sequentially — a deterministic schedule — so the
-vectorized backend resolves it through
-:meth:`repro.core.bulk_exec.BulkExecutor.run` (the phased replay for mixed
-batches) and promises *bit identical* behaviour to the reference generators:
-same result arrays, same final table state (every slab word, chain link,
-allocator bookkeeping, warp ids) and the same device counters event for
-event.  These tests drive paired tables through mixed insert/delete/search
-batches sweeping the paper's Gamma distributions, all four (key_value x
-unique_keys) modes, both allocator variants, warp-boundary batch sizes,
-conflicting same-key operations, allocator growth/exhaustion, the sharded
-engine, the documented fallbacks (explicit schedulers, non-canonical
-layouts), and the identity of each bulk op with a single-op-type batch.
+vectorized backend resolves it through its one phased kernel,
+:meth:`repro.core.bulk_exec.BulkExecutor.run`, and promises *bit identical*
+behaviour to the reference generators: same result arrays, same final table
+state (every slab word, chain link, allocator bookkeeping, warp ids) and the
+same device counters event for event.  These tests drive paired tables
+through mixed insert/delete/search batches sweeping the paper's Gamma
+distributions, all four (key_value x unique_keys) modes, both allocator
+variants, warp-boundary batch sizes, conflicting same-key operations,
+repeated deletions and searches of one key (the kernel's deletion-rank
+rule), allocator growth/exhaustion, the sharded engine, the documented
+fallbacks (explicit schedulers, non-canonical layouts), and the identity of
+each bulk op with a single-op-type batch.
 """
 
 from __future__ import annotations
@@ -81,6 +82,41 @@ def build_both(reference, vectorized, keys):
     vectorized.bulk_build(keys, values)
 
 
+def rank_rule_batches(table, keys, seed):
+    """Two 128-op batches, as (op codes, keys), for the deletion-rank rule.
+
+    The first has no insertion: two to four deletions each of six keys and
+    searches of the same keys, shuffled over four warp chunks, so searches
+    run before, between and after the deletions of their key.  In the second
+    every insertion targets one bucket; it also deletes (twice each) and
+    searches keys of that bucket and of a bucket no insertion targets.
+    """
+    rng = np.random.default_rng(seed)
+    hot = keys[:6]
+    deletes = np.repeat(hot, 2 + np.arange(6) % 3)
+    ops = np.full(128, C.OP_SEARCH, dtype=np.int64)
+    ops[: len(deletes)] = C.OP_DELETE
+    batch = np.concatenate([deletes, rng.choice(hot, 128 - len(deletes))])
+    order = rng.permutation(128)
+    batches = [(ops[order], batch[order].astype(np.uint32))]
+
+    buckets = table.hash_fn.hash_array(keys)
+    targeted = buckets[0]
+    untargeted = buckets[buckets != targeted][0]
+    candidates = np.arange(10**6, 10**6 + 2000, dtype=np.uint32)
+    inserted = candidates[table.hash_fn.hash_array(candidates) == targeted][:40]
+    doomed = np.concatenate(
+        [keys[buckets == targeted][:3], keys[buckets == untargeted][:3]]
+    )
+    searched = rng.choice(doomed, 128 - len(inserted) - 2 * len(doomed))
+    ops = np.repeat([C.OP_INSERT, C.OP_DELETE, C.OP_SEARCH],
+                    [len(inserted), 2 * len(doomed), len(searched)]).astype(np.int64)
+    batch = np.concatenate([inserted, np.repeat(doomed, 2), searched])
+    order = rng.permutation(128)
+    batches.append((ops[order], batch[order].astype(np.uint32)))
+    return batches
+
+
 # --------------------------------------------------------------------------- #
 # Mode, distribution and shape sweeps
 # --------------------------------------------------------------------------- #
@@ -108,6 +144,12 @@ class TestModeSweep:
             run_concurrent_both(
                 reference, vectorized, workload.op_codes, workload.keys, workload.values
             )
+        # Three more copies of some keys (with duplicates allowed) for the
+        # deletion-rank batches to delete and search past.
+        for _ in range(3):
+            build_both(reference, vectorized, keys[:60])
+        for op_codes, batch_keys in rank_rule_batches(vectorized, keys[:60], seed=17):
+            run_concurrent_both(reference, vectorized, op_codes, batch_keys, batch_keys + 7)
 
     @pytest.mark.smoke
     @pytest.mark.parametrize(
@@ -274,7 +316,8 @@ class TestAllocatorInteraction:
         run_concurrent_both(reference, vectorized, op_codes, new, new)
         assert vectorized.alloc.num_super_blocks > 1  # growth actually happened
 
-    def test_exhaustion_mid_batch_matches_reference_partial_state(self):
+    @pytest.mark.parametrize("unique_keys", [True, False])
+    def test_exhaustion_mid_batch_matches_reference_partial_state(self, unique_keys):
         def build(backend):
             device = Device()
             alloc = SlabAlloc(
@@ -282,12 +325,19 @@ class TestAllocatorInteraction:
                 SlabAllocConfig(1, 1, 32, growth_threshold=10_000, max_super_blocks=1),
                 seed=1,
             )
-            table = SlabHash(1, device=device, alloc=alloc, seed=2, backend=backend)
+            table = SlabHash(
+                1, device=device, alloc=alloc, seed=2, backend=backend, unique_keys=unique_keys
+            )
             rng = np.random.default_rng(23)
             keys = rng.choice(2**24, 2000, replace=False).astype(np.uint32)
+            table.bulk_build(keys[:60], keys[:60])
             op_codes = np.full(2000, C.OP_INSERT, dtype=np.int64)
             op_codes[::7] = C.OP_SEARCH
             op_codes[3::11] = C.OP_DELETE
+            # Deletions and searches of built keys (some deleted twice) run
+            # vectorized, on both sides of the failing insertion.
+            untouched = op_codes != C.OP_INSERT
+            keys[untouched] = rng.choice(keys[:60], int(untouched.sum()))
             with pytest.raises(AllocationError):
                 table.concurrent_batch(op_codes, keys, keys)
             return table
@@ -416,14 +466,19 @@ class TestFallbacks:
         run_concurrent_both(reference, vectorized, op_codes, probe, probe)
 
     def test_non_canonical_bucket_forces_fallback_only_when_touched(self, monkeypatch):
-        """The canonical-layout guard inspects only the buckets a batch hashes to."""
+        """The canonical-layout guard inspects only the buckets a batch hashes
+        to, and only for batches with an insertion."""
         reference, vectorized = table_pair(num_buckets=8, alloc_config=SMALL_ALLOC, seed=51)
         keys = np.arange(1, 300, dtype=np.uint32)
         build_both(reference, vectorized, keys)
         holed = 3
-        for table in (reference, vectorized):
-            table.lists.base_slabs[holed, 0] = C.EMPTY_KEY
-            table.lists.base_slabs[holed, 1] = C.EMPTY_VALUE
+
+        def punch_hole():
+            for table in (reference, vectorized):
+                table.lists.base_slabs[holed, 0] = C.EMPTY_KEY
+                table.lists.base_slabs[holed, 1] = C.EMPTY_VALUE
+
+        punch_hole()
         fallbacks = []
         original = vectorized._reference_concurrent_batch
 
@@ -445,18 +500,25 @@ class TestFallbacks:
         assert_same_state(reference, vectorized)
         assert fallbacks == []
 
-        # An all-search batch runs the bulk_search kernel, exact in any
-        # layout, so it never falls back even when it touches the hole.
+        # Deletions and searches only look for live occurrences, so a batch
+        # without insertions stays vectorized even when it touches the hole.
         searches = np.full(len(probe), C.OP_SEARCH, dtype=np.int64)
         run_concurrent_both(reference, vectorized, searches, probe, probe)
-        assert fallbacks == []
-
-        # A mixed search/delete batch touching the hole falls back; deletions
-        # only tombstone, so the hole stays for the bulk_insert check below.
         op_codes = np.where(rng.random(len(probe)) < 0.5, C.OP_SEARCH, C.OP_DELETE)
         run_concurrent_both(reference, vectorized, op_codes, probe, probe)
-        assert len(fallbacks) == 1 and set(fallbacks[0]) == {C.OP_SEARCH, C.OP_DELETE}
+        assert fallbacks == []
+        # Deletions only tombstone, so the hole stays.
         assert vectorized.lists.base_slabs[holed, 0] == C.EMPTY_KEY
+
+        # A batch with an insertion into the holed bucket falls back, mixed
+        # or bulk.
+        op_codes = rng.integers(1, 4, len(probe)).astype(np.int64)
+        inserted = probe[op_codes == C.OP_INSERT]
+        assert (vectorized.hash_fn.hash_array(inserted) == holed).any()
+        run_concurrent_both(reference, vectorized, op_codes, probe, probe)
+        assert len(fallbacks) == 1
+        assert set(fallbacks[0]) == {C.OP_INSERT, C.OP_DELETE, C.OP_SEARCH}
+        punch_hole()  # the insertions may have claimed it
         touching = np.arange(2000, 2100, dtype=np.uint32)
         assert (vectorized.hash_fn.hash_array(touching) == holed).any()
         reference.bulk_insert(touching, touching)

@@ -18,8 +18,9 @@ step must leave the watermark unchanged and both tables consistent, which
 the end-of-run model/live/recovery diffs verify; the focused tests at the
 bottom of this file pin the step-failure semantics down deterministically.
 The same programs also run under a stop-the-world policy, whose every
-rebuild is a one-band migration step behind the same fault site: a failed
-rebuild must leave the shard exactly as it was.
+rebuild is a one-band migration step behind the same fault site, plus a
+fixed fault that fails shard 0's first rebuild: a failed rebuild must leave
+the shard exactly as it was, and a later one must still complete.
 
 The invariants (docs/FAULTS.md):
 
@@ -194,7 +195,14 @@ def apply_op(model: dict, op: int, key: int, value: int) -> None:
         model.pop(key, None)
 
 
-def run_chaos_program(seed: int, tmp_path, policy: LoadFactorPolicy = POLICY) -> None:
+def run_chaos_program(
+    seed: int, tmp_path, policy: LoadFactorPolicy = POLICY, faults=None
+) -> tuple:
+    """Run one seeded program; returns ``(service, plan)`` once it checks out.
+
+    ``faults`` adds fixed ``(site, occurrence) -> action`` entries to the
+    seeded plan.
+    """
     workdir = tmp_path / f"chaos-{seed}"
     workdir.mkdir()
     snap = str(workdir / "snap")
@@ -202,6 +210,7 @@ def run_chaos_program(seed: int, tmp_path, policy: LoadFactorPolicy = POLICY) ->
 
     waves = generate_waves(seed)
     plan = FaultPlan.random(seed, chaos_sites(), rate=0.05, horizon=48)
+    plan.schedule.update(faults or {})
     engine = ShardedSlabHash(
         NUM_SHARDS, policy.min_buckets, alloc_config=ALLOC, seed=47,
         load_factor_policy=policy,
@@ -388,6 +397,7 @@ def run_chaos_program(seed: int, tmp_path, policy: LoadFactorPolicy = POLICY) ->
         f"seed {seed}: crash-recovery diverged from the live engine "
         f"(replayed {report.records_replayed}, aborted {report.records_aborted})"
     )
+    return service, plan
 
 
 @pytest.mark.parametrize("seed", _seeds())
@@ -397,7 +407,19 @@ def test_chaos_programs_hold_the_exactly_once_invariants(seed, tmp_path):
 
 @pytest.mark.parametrize("seed", PINNED_SEEDS)
 def test_chaos_programs_hold_under_stop_the_world_resizes(seed, tmp_path):
-    run_chaos_program(seed, tmp_path, STOP_THE_WORLD)
+    # Each shard rebuilds about once per program, and the seeded plans fail
+    # ``migration.step`` only at later occurrences, so a fixed fault fails
+    # shard 0's first rebuild.
+    first_rebuild = ("shard:0.migration.step", 0)
+    service, plan = run_chaos_program(
+        seed, tmp_path, STOP_THE_WORLD,
+        faults={first_rebuild: FaultAction(exc="migration", note="first rebuild")},
+    )
+    assert first_rebuild in plan.fired_sites()
+    assert any("InjectedMigrationFailure" in f for f in service.stats().resize_failures)
+    # The failed rebuild left shard 0 as it was; a later one grew it.
+    assert plan.clock.count("shard:0.migration.step") >= 2
+    assert service.engine.shards[0].num_buckets > STOP_THE_WORLD.min_buckets
 
 
 def test_chaos_plans_and_programs_are_deterministic():
