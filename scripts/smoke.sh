@@ -29,9 +29,11 @@ python -m repro reproduce shard-sweep --scale 0.05 --out results/smoke
 echo "== Every experiment, tiny scale =="
 python -m repro reproduce all --scale 0.02 --out results/smoke
 
-echo "== Examples =="
-python examples/quickstart.py
-python examples/sharded_engine.py
+echo "== Examples (every examples/*.py) =="
+for example in examples/*.py; do
+  echo "-- $example"
+  python "$example"
+done
 
 echo "== Service health counters (healthy + chaotic) =="
 python -m repro service-health --ops 2048

@@ -146,8 +146,8 @@ def gather_band(
     :class:`~repro.core.slab_list.ChainTable` of the band's buckets only), no
     Python loop per slab, so the cost is O(band), not O(table).  Host-side
     and uncounted, like the other snapshot scans; the *re-insertion* of the
-    band is what the migration charges to the device, through the regular
-    bulk path.
+    band is what the migration charges to the device, through the table's
+    batch kernel.
     """
     cfg = lists.config
     table = lists.chain_table(np.arange(lo, hi, dtype=np.int64))

@@ -13,14 +13,15 @@ This module adds the missing recourse:
 * :func:`begin_migration` / :func:`migrate_step` rebuild a live
   :class:`~repro.core.slab_hash.SlabHash` into a new bucket array of any
   size, one band of old buckets per step, with old and new arrays both live
-  in between.  Each band's live elements are migrated through the table's
-  regular bulk-insertion path — on either execution backend — so the
-  migration's device events (slab reads, CAS traffic, allocations,
-  resident-block churn) are charged to the device counters and priced by the
-  cost model exactly like any other kernel, and the band's old chained slabs
-  are returned to SlabAlloc afterwards.  Multi-value (duplicate-key) contents
-  are migrated in bucket scan order, which preserves the relative order that
-  ``search_all`` / ``delete`` / ``delete_all`` observe.
+  in between.  Each band's live elements are re-inserted by the table's
+  batch kernel (``SlabHash._execute``, routed to the new array) — on either
+  execution backend — so the migration's device events (slab reads, CAS
+  traffic, allocations, resident-block churn) are charged to the device
+  counters and priced by the cost model exactly like any other kernel, and
+  the band's old chained slabs are returned to SlabAlloc afterwards.
+  Multi-value (duplicate-key) contents are migrated in bucket scan order,
+  which preserves the relative order that ``search_all`` / ``delete`` /
+  ``delete_all`` observe.
 * :func:`resize_table` is the stop-the-world resize: a migration whose single
   band is the whole old array, begun and finished in one call.
 * :class:`LoadFactorPolicy` is the adaptive controller: a target beta band
@@ -49,6 +50,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, List, Optional, cast
+
+import numpy as np
 
 if TYPE_CHECKING:
     from repro.core.slab_hash import SlabHash
@@ -295,10 +298,6 @@ class MigrationState:
         return "grow" if self.target_buckets > self.old_buckets else "shrink"
 
     @property
-    def remaining_buckets(self) -> int:
-        return self.old_buckets - self.watermark
-
-    @property
     def done(self) -> bool:
         return self.watermark >= self.old_buckets
 
@@ -370,22 +369,24 @@ def begin_migration(
     return None
 
 
-def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> MigrationStepResult:
+def migrate_step(table: SlabHash) -> MigrationStepResult:
     """Move the next band of old buckets into the new array, whole and atomically.
 
-    The band's live contents are gathered host-side in scan order (with
-    :func:`~repro.core.bulk_exec.gather_band`, on either backend) and
-    re-inserted through the table's own bulk path against the *new* array,
-    so the step's device events are charged and priced like any other
-    kernel.  On success the band's old chained slabs
-    go back to SlabAlloc, the old base slabs are cleared, and the watermark
-    advances — the step is the atomic unit of migration progress.
+    The band is :attr:`MigrationState.step_buckets` old buckets (fewer at
+    the end of the array).  Its live contents are gathered host-side in scan
+    order (with :func:`~repro.core.bulk_exec.gather_band`, on either
+    backend) and re-inserted by the table's batch kernel against the *new*
+    array, so the step's device events are charged and priced like any
+    other kernel.  On success the band's old chained slabs go back to
+    SlabAlloc, the old base slabs are cleared, and the watermark advances —
+    the step is the atomic unit of migration progress.
 
-    Exception safety: if the bulk insert fails mid-band (e.g. allocator exhaustion, injected fault), every band key
-    that reached the new array is deleted again — band keys cannot
-    pre-exist there, since their writes routed to the old array — the
-    watermark stays put, and the error propagates.  Both arrays stay
-    consistent and the migration remains resumable.
+    Exception safety: if the re-insertion fails mid-band (e.g. allocator
+    exhaustion, injected fault), every band key that reached the new array
+    is deleted again — band keys cannot pre-exist there, since their writes
+    routed to the old array — the watermark stays put, and the error
+    propagates.  Both arrays stay consistent and the migration remains
+    resumable.
     """
     state = table.migration
     if state is None:
@@ -393,39 +394,29 @@ def migrate_step(table: SlabHash, max_buckets: Optional[int] = None) -> Migratio
     faults = getattr(table.alloc, "faults", None)
     if faults is not None:
         faults.check("migration.step")
-    step = int(state.step_buckets if max_buckets is None else max_buckets)
-    if step < 1:
-        raise ValueError(f"max_buckets must be at least 1, got {step}")
     lo = state.watermark
-    hi = min(lo + step, state.old_buckets)
+    hi = min(lo + state.step_buckets, state.old_buckets)
 
     device = table.device
     before = device.snapshot()
     old_lists = table.lists
-    old_hash = table.hash_fn
     # The band's chains stay as they are until the band has moved (its
     # re-insertion allocates only in the new array), so the walk that
     # gathers the keys also names the slabs to release.
     keys, values, band_chained = gather_band(old_lists, lo, hi)
 
-    was_in_resize = table._in_resize
-    table._in_resize = True
-    table.lists = state.new_lists
-    table.hash_fn = state.new_hash
-    try:
-        if len(keys):
-            table.bulk_insert(keys, values)
-    except Exception:
-        # Roll the partial band back: delete every occurrence that made it
-        # into the new array (extra deletes of never-inserted occurrences
-        # traverse and miss, which is charged but harmless and deterministic).
-        if len(keys):
-            table.bulk_delete(keys)
-        raise
-    finally:
-        table.lists = old_lists
-        table.hash_fn = old_hash
-        table._in_resize = was_in_resize
+    if len(keys):
+        ops = np.full(len(keys), C.OP_INSERT, dtype=np.int64)
+        with table._routed_to_new():
+            try:
+                table._execute(ops, keys, values, None)
+            except Exception:
+                # Roll the partial band back: delete every occurrence that
+                # made it into the new array (extra deletes of never-inserted
+                # occurrences traverse and miss, which is charged but
+                # harmless and deterministic).
+                table._execute(np.full_like(ops, C.OP_DELETE), keys, None, None)
+                raise
 
     if band_chained.size:
         warp = table._next_warp()

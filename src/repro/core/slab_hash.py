@@ -28,7 +28,9 @@ migration watermark and scattered back once (``SlabHash._run``), then runs
 either on the reference generator schedule or, on the ``"vectorized"``
 backend without a scheduler, through the one phased kernel
 :meth:`BulkExecutor.run <repro.core.bulk_exec.BulkExecutor.run>`, whatever
-the batch's op mix.
+the batch's op mix.  The migration pump (:func:`repro.core.resize.migrate_step`)
+enters one level lower, at ``SlabHash._execute``: its band needs no
+validation and is routed to the new array whole.
 
 Throughput numbers are obtained by measuring the device counters around a
 bulk/concurrent call and applying :class:`repro.gpusim.costmodel.CostModel`;
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -149,7 +151,6 @@ class SlabHash:
         self._bulk_exec = BulkExecutor(self)
         self.policy = policy
         self.resize_stats = ResizeStats()
-        self._in_resize = False
         #: In-flight incremental resize (``None`` when fully in one array).
         self.migration: Optional[MigrationState] = None
 
@@ -276,12 +277,6 @@ class SlabHash:
         """
         return self.hash_fn.hash_array(keys) < self.migration.watermark
 
-    def _route_to_new(self, key_arr: np.ndarray) -> bool:
-        """Single-key variant of :meth:`_migration_mask` (search_all/delete_all)."""
-        if self.migration is None or self._in_resize:
-            return False
-        return bool(self._migration_mask(key_arr)[0])
-
     # ------------------------------------------------------------------ #
     # Single-operation convenience API
     # ------------------------------------------------------------------ #
@@ -290,71 +285,52 @@ class SlabHash:
         """Insert one key (and value in key-value mode)."""
         if self.config.key_value and value is None:
             raise ValueError("key-value mode requires a value")
-        if not is_user_key(key):
-            raise ValueError(f"key 0x{int(key):08X} is outside the storable key domain")
-        values = None if not self.config.key_value else np.array([value], dtype=np.uint32)
-        self.bulk_insert(np.array([key], dtype=np.uint32), values)
+        self.bulk_insert([key], [value] if self.config.key_value else None)
 
     def search(self, key: int) -> Optional[int]:
         """Return the stored value (or the key itself in key-only mode), or ``None``."""
-        result = int(self.bulk_search(np.array([key], dtype=np.uint32))[0])
+        result = int(self.bulk_search([key])[0])
         return None if result == C.SEARCH_NOT_FOUND else result
 
     def __contains__(self, key: int) -> bool:
-        return self.search(key) is not None
+        return is_user_key(key) and self.search(key) is not None
 
     def delete(self, key: int) -> bool:
         """Delete the least-recent occurrence of ``key``; returns True if one was removed."""
-        return bool(self.bulk_delete(np.array([key], dtype=np.uint32))[0])
+        return bool(self.bulk_delete([key])[0])
 
     def search_all(self, key: int) -> List[int]:
         """Return every value stored under ``key`` (duplicates mode)."""
-        key_arr = self._validate_keys([key])
-        if self._route_to_new(key_arr):
-            with self._routed_to_new():
-                return self._search_all_impl(key_arr)
-        return self._search_all_impl(key_arr)
-
-    def _search_all_impl(self, key_arr: np.ndarray) -> List[int]:
-        buckets = self.hash_fn.hash_array(key_arr)
-        warp = self._next_warp()
-        is_active = np.zeros(WARP_SIZE, dtype=bool)
-        is_active[0] = True
-        lane_keys = self._pad_lane_array(key_arr, 0, 1, C.EMPTY_KEY)
-        lane_buckets = np.zeros(WARP_SIZE, dtype=np.int64)
-        lane_buckets[0] = buckets[0]
         out: List[List[int]] = [[] for _ in range(WARP_SIZE)]
-        self.device.launch_kernel()
-        run_sequential(
-            [self.lists.warp_search_all(warp, is_active, lane_buckets, lane_keys, out)]
-        )
+        self._run_one_lane(SlabListCollection.warp_search_all, key, out)
         return out[0]
 
     def delete_all(self, key: int) -> int:
         """Delete every occurrence of ``key``; returns the number removed."""
-        key_arr = self._validate_keys([key])
-        if self._route_to_new(key_arr):
-            with self._routed_to_new():
-                removed = self._delete_all_impl(key_arr)
-        else:
-            removed = self._delete_all_impl(key_arr)
-        self._auto_resize()
-        return removed
-
-    def _delete_all_impl(self, key_arr: np.ndarray) -> int:
-        buckets = self.hash_fn.hash_array(key_arr)
-        warp = self._next_warp()
-        is_active = np.zeros(WARP_SIZE, dtype=bool)
-        is_active[0] = True
-        lane_keys = self._pad_lane_array(key_arr, 0, 1, C.EMPTY_KEY)
-        lane_buckets = np.zeros(WARP_SIZE, dtype=np.int64)
-        lane_buckets[0] = buckets[0]
         out = np.zeros(WARP_SIZE, dtype=np.int64)
-        self.device.launch_kernel()
-        run_sequential(
-            [self.lists.warp_delete_all(warp, is_active, lane_buckets, lane_keys, out)]
-        )
+        self._run_one_lane(SlabListCollection.warp_delete_all, key, out)
+        self._auto_resize()
         return int(out[0])
+
+    def _run_one_lane(self, program: Callable[..., Any], key: int, out: Any) -> None:
+        """Launch ``program`` for ``key`` in lane 0 of one warp.
+
+        The key runs against the one array it lives in (migration watermark
+        routing, as in :meth:`_run`); ``program`` is a
+        :class:`~repro.core.slab_list.SlabListCollection` warp method that
+        writes lane 0's result into ``out``.
+        """
+        key_arr = self._validate_keys([key])
+        routed = self.migration is not None and bool(self._migration_mask(key_arr)[0])
+        with self._routed_to_new() if routed else contextlib.nullcontext():
+            is_active = np.zeros(WARP_SIZE, dtype=bool)
+            is_active[0] = True
+            lane_keys = self._pad_lane_array(key_arr, 0, 1, C.EMPTY_KEY)
+            lane_buckets = np.zeros(WARP_SIZE, dtype=np.int64)
+            lane_buckets[0] = self.hash_fn.hash_array(key_arr)[0]
+            warp = self._next_warp()
+            self.device.launch_kernel()
+            run_sequential([program(self.lists, warp, is_active, lane_buckets, lane_keys, out)])
 
     # ------------------------------------------------------------------ #
     # Bulk operations (Figures 4, 5 and 6)
@@ -455,7 +431,7 @@ class SlabHash:
             if vals.shape != keys.shape:
                 raise ValueError("keys and values must have the same length")
 
-        if self.migration is None or self._in_resize:
+        if self.migration is None:
             return self._execute(ops, keys, vals, scheduler)
         mask = self._migration_mask(keys)
         if not mask.any():
@@ -558,8 +534,8 @@ class SlabHash:
 
         A stop-the-world resize is a migration whose single band is the
         whole old array (:func:`repro.core.resize.resize_table`): it runs
-        through the bulk-insertion path of this table's backend (so it is
-        charged to the device counters like any other kernel), counts one
+        through this table's batch kernel on its backend (so it is charged
+        to the device counters like any other kernel), counts one
         migration step, returns the old chained slabs to the allocator, and
         keeps the hash function's ``(a, b)`` draw re-ranged to the new
         bucket count.  Resizing to the current size is a no-op; a failed
@@ -586,13 +562,13 @@ class SlabHash:
         """
         return begin_migration(self, num_buckets, trigger=trigger, step_buckets=step_buckets)
 
-    def migrate_step(self, max_buckets: Optional[int] = None) -> MigrationStepResult:
-        """Advance the in-flight migration by one bounded band of buckets.
+    def migrate_step(self) -> MigrationStepResult:
+        """Advance the in-flight migration by one band of ``step_buckets`` buckets.
 
         See :func:`repro.core.resize.migrate_step` for semantics (atomic
         whole-bucket bands, strong exception guarantee, resumability).
         """
-        return _migrate_table_step(self, max_buckets)
+        return _migrate_table_step(self)
 
     def maybe_resize(self, *, max_steps: int = 8) -> List[ResizeResult]:
         """Pump the in-flight migration and/or apply the load-factor policy.
@@ -607,8 +583,6 @@ class SlabHash:
         resizes; ``[]`` when quiescent or when a begun migration has not
         finished yet.
         """
-        if self._in_resize:
-            return []
         results: List[ResizeResult] = []
         steps = 0
         while steps < max_steps:
@@ -644,7 +618,7 @@ class SlabHash:
         mid-migration (manual migrations can land anywhere; the policy
         reconciles as soon as they finish).
         """
-        if self.policy is None or not self.policy.auto or self._in_resize:
+        if self.policy is None or not self.policy.auto:
             return
         if self.migration is not None:
             if self.migrate_step().result is None:

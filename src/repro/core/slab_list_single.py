@@ -2,28 +2,25 @@
 
 The slab list is a contribution of the paper in its own right (Section III-A):
 a lock-free linked list whose nodes are 128-byte slabs operated on by whole
-warps.  :class:`SlabList` wraps a one-bucket
-:class:`~repro.core.slab_list.SlabListCollection` behind a container-style
-interface so it can be used (and studied) independently of the hash table:
-operations are grouped into warps of up to 32 and executed with the same
-warp-cooperative procedures the slab hash uses.
+warps.  The slab hash is ``B`` independent slab lists (Section III-C), so a
+standalone slab list is a one-bucket slab hash: :class:`SlabList` wraps
+:class:`~repro.core.slab_hash.SlabHash` with ``num_buckets=1`` behind a
+container-style interface, and every operation runs through the table's one
+batch path (32 operations per warp) on the process-default backend.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import constants as C
 from repro.core.config import SlabAllocConfig, SlabConfig
-from repro.core.flush import FlushResult, flush_bucket
-from repro.core.hashing import is_user_key
+from repro.core.flush import FlushResult
 from repro.core.slab_alloc import SlabAlloc
+from repro.core.slab_hash import SlabHash
 from repro.core.slab_list import SlabListCollection
 from repro.gpusim.device import Device
-from repro.gpusim.scheduler import run_sequential
-from repro.gpusim.warp import WARP_SIZE, Warp
 
 __all__ = ["SlabList"]
 
@@ -53,49 +50,15 @@ class SlabList:
         alloc_config: Optional[SlabAllocConfig] = None,
         seed: int = 0,
     ) -> None:
-        self.device = device or Device()
-        self.config = SlabConfig(key_value=key_value, unique_keys=unique_keys)
-        if alloc is None:
-            alloc = SlabAlloc(self.device, alloc_config or SlabAllocConfig(), seed=seed)
-        self.alloc = alloc
-        self.lists = SlabListCollection(self.device, alloc, 1, self.config)
-        self._warp_counter = 0
-
-    # ------------------------------------------------------------------ #
-    # Internal plumbing
-    # ------------------------------------------------------------------ #
-
-    def _next_warp(self) -> Warp:
-        warp = Warp(self._warp_counter, self.device.counters)
-        self._warp_counter += 1
-        return warp
-
-    @staticmethod
-    def _chunks(count: int) -> Iterator[Tuple[int, int]]:
-        for start in range(0, count, WARP_SIZE):
-            yield start, min(start + WARP_SIZE, count)
-
-    def _lane_arrays(
-        self, keys: np.ndarray, values: Optional[np.ndarray], start: int, end: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        span = end - start
-        is_active = np.zeros(WARP_SIZE, dtype=bool)
-        is_active[:span] = True
-        lane_keys = np.full(WARP_SIZE, C.EMPTY_KEY, dtype=np.uint32)
-        lane_keys[:span] = keys[start:end]
-        lane_buckets = np.zeros(WARP_SIZE, dtype=np.int64)
-        lane_values = None
-        if self.config.key_value:
-            lane_values = np.full(WARP_SIZE, C.EMPTY_VALUE, dtype=np.uint32)
-            if values is not None:
-                lane_values[:span] = values[start:end]
-        return is_active, lane_buckets, lane_keys, lane_values
-
-    def _validate(self, keys: Sequence[int]) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size and int(keys.max()) >= C.MAX_USER_KEY:
-            raise ValueError("keys must avoid the two reserved 32-bit values")
-        return keys.astype(np.uint32)
+        self._table = SlabHash(
+            1,
+            device=device,
+            key_value=key_value,
+            unique_keys=unique_keys,
+            alloc=alloc,
+            alloc_config=alloc_config,
+            seed=seed,
+        )
 
     # ------------------------------------------------------------------ #
     # Mutations
@@ -103,48 +66,23 @@ class SlabList:
 
     def insert(self, key: int, value: Optional[int] = None) -> None:
         """Insert one element (REPLACE in unique mode, INSERT otherwise)."""
-        self.extend([key], None if value is None else [value])
+        self._table.insert(key, value)
 
     def extend(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> None:
         """Insert a batch of elements, 32 per warp."""
-        keys = self._validate(keys)
-        if self.config.key_value:
-            if values is None:
-                raise ValueError("key-value mode requires values")
-            values = np.asarray(values, dtype=np.uint32)
-            if values.shape != keys.shape:
-                raise ValueError("keys and values must have the same length")
-        op = self.lists.warp_replace if self.config.unique_keys else self.lists.warp_insert
-        self.device.launch_kernel()
-        for start, end in self._chunks(len(keys)):
-            warp = self._next_warp()
-            is_active, buckets, lane_keys, lane_values = self._lane_arrays(keys, values, start, end)
-            run_sequential([op(warp, is_active, buckets, lane_keys, lane_values)])
+        self._table.bulk_insert(keys, values)
 
     def delete(self, key: int) -> bool:
         """Delete the least-recent occurrence of ``key``; True if one was removed."""
-        keys = self._validate([key])
-        warp = self._next_warp()
-        is_active, buckets, lane_keys, _ = self._lane_arrays(keys, None, 0, 1)
-        out = np.zeros(WARP_SIZE, dtype=np.int64)
-        self.device.launch_kernel()
-        run_sequential([self.lists.warp_delete(warp, is_active, buckets, lane_keys, out)])
-        return bool(out[0])
+        return self._table.delete(key)
 
     def delete_all(self, key: int) -> int:
         """Delete every occurrence of ``key``; returns the number removed."""
-        keys = self._validate([key])
-        warp = self._next_warp()
-        is_active, buckets, lane_keys, _ = self._lane_arrays(keys, None, 0, 1)
-        out = np.zeros(WARP_SIZE, dtype=np.int64)
-        self.device.launch_kernel()
-        run_sequential([self.lists.warp_delete_all(warp, is_active, buckets, lane_keys, out)])
-        return int(out[0])
+        return self._table.delete_all(key)
 
     def flush(self) -> FlushResult:
         """Compact the list, releasing slabs that only hold tombstones."""
-        self.device.launch_kernel()
-        return flush_bucket(self.lists, self._next_warp(), 0)
+        return self._table.flush(0)[0]
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -152,61 +90,62 @@ class SlabList:
 
     def search(self, key: int) -> Optional[int]:
         """Value stored under ``key`` (the key itself in key-only mode), or None."""
-        keys = self._validate([key])
-        warp = self._next_warp()
-        is_active, buckets, lane_keys, _ = self._lane_arrays(keys, None, 0, 1)
-        out = np.full(WARP_SIZE, C.SEARCH_NOT_FOUND, dtype=np.uint32)
-        self.device.launch_kernel()
-        run_sequential([self.lists.warp_search(warp, is_active, buckets, lane_keys, out)])
-        return None if int(out[0]) == C.SEARCH_NOT_FOUND else int(out[0])
+        return self._table.search(key)
 
     def search_many(self, keys: Sequence[int]) -> np.ndarray:
         """Bulk search; SEARCH_NOT_FOUND marks missing keys."""
-        keys = self._validate(keys)
-        results = np.full(len(keys), C.SEARCH_NOT_FOUND, dtype=np.uint32)
-        self.device.launch_kernel()
-        for start, end in self._chunks(len(keys)):
-            warp = self._next_warp()
-            is_active, buckets, lane_keys, _ = self._lane_arrays(keys, None, start, end)
-            out = np.full(WARP_SIZE, C.SEARCH_NOT_FOUND, dtype=np.uint32)
-            run_sequential([self.lists.warp_search(warp, is_active, buckets, lane_keys, out)])
-            results[start:end] = out[: end - start]
-        return results
+        return self._table.bulk_search(keys)
 
     def search_all(self, key: int) -> List[int]:
         """Every value stored under ``key`` (duplicates mode)."""
-        keys = self._validate([key])
-        warp = self._next_warp()
-        is_active, buckets, lane_keys, _ = self._lane_arrays(keys, None, 0, 1)
-        out: List[List[int]] = [[] for _ in range(WARP_SIZE)]
-        self.device.launch_kernel()
-        run_sequential([self.lists.warp_search_all(warp, is_active, buckets, lane_keys, out)])
-        return out[0]
+        return self._table.search_all(key)
 
     def __contains__(self, key: int) -> bool:
-        return is_user_key(key) and self.search(int(key)) is not None
+        return key in self._table
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self.lists.live_items(0))
+        return len(self._table)
 
     def items(self) -> List[Tuple[int, Optional[int]]]:
         """All stored (key, value) pairs in traversal order."""
-        return self.lists.live_items(0)
+        return self._table.items()
 
-    def __iter__(self) -> Iterable[int]:
+    def __iter__(self) -> Iterator[int]:
         return iter(key for key, _ in self.items())
 
     def slab_count(self) -> int:
         """Number of slabs in the chain (including the base slab)."""
-        return self.lists.slab_count(0)
+        return self._table.total_slabs()
 
     def memory_utilization(self) -> float:
         """Stored data bytes over occupied slab bytes (paper's metric)."""
-        return (len(self) * self.config.element_bytes) / (self.slab_count() * C.SLAB_BYTES)
+        return self._table.memory_utilization()
+
+    @property
+    def table(self) -> SlabHash:
+        """The underlying one-bucket slab hash."""
+        return self._table
+
+    @property
+    def device(self) -> Device:
+        return self._table.device
+
+    @property
+    def alloc(self) -> SlabAlloc:
+        return self._table.alloc
+
+    @property
+    def config(self) -> SlabConfig:
+        return self._table.config
+
+    @property
+    def lists(self) -> SlabListCollection:
+        """The one-list collection holding the chain (bucket 0)."""
+        return self._table.lists
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "key-value" if self.config.key_value else "key-only"

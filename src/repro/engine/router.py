@@ -82,8 +82,13 @@ class ShardRouter:
         return shards
 
     def shard_of(self, key: int) -> int:
-        """Shard index of one key (advances the round-robin cursor by one)."""
-        return int(self.route(np.array([key], dtype=np.uint64))[0])
+        """Shard index of one key (advances the round-robin cursor by one).
+
+        The key wraps to 64 bits, so an out-of-domain key (a negative one,
+        say) still routes somewhere and the shard's own key validation
+        rejects it, as for a reserved key.
+        """
+        return int(self.route(np.array([int(key) % 2**64], dtype=np.uint64))[0])
 
     def partition(self, keys: np.ndarray) -> List[np.ndarray]:
         """Per-shard index arrays, each in ascending stream order.

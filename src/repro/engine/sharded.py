@@ -38,6 +38,7 @@ from numpy.typing import DTypeLike
 
 from repro.core import constants as C
 from repro.core.config import SlabAllocConfig
+from repro.core.hashing import is_user_key
 from repro.core.resize import LoadFactorPolicy, MigrationStepResult, ResizeResult
 from repro.core.slab_hash import SlabHash
 from repro.engine.router import ShardRouter
@@ -343,7 +344,7 @@ class ShardedSlabHash:
         return self.shards[shard].search(key)
 
     def __contains__(self, key: int) -> bool:
-        return self.search(key) is not None
+        return is_user_key(key) and self.search(key) is not None
 
     def delete(self, key: int) -> bool:
         self._require_key_partitioning("delete")
@@ -401,13 +402,11 @@ class ShardedSlabHash:
             )
         return self.shards[shard].resize(num_buckets, trigger=trigger)
 
-    def migrate_step_shard(
-        self, shard: int, max_buckets: Optional[int] = None
-    ) -> MigrationStepResult:
-        """Advance one shard's in-flight migration by at most ``max_buckets``."""
+    def migrate_step_shard(self, shard: int) -> MigrationStepResult:
+        """Advance one shard's in-flight migration by one band (see SlabHash)."""
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
-        return self.shards[shard].migrate_step(max_buckets)
+        return self.shards[shard].migrate_step()
 
     def migrating_shards(self) -> List[int]:
         """Indices of shards with a migration currently in flight."""

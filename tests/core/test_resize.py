@@ -174,6 +174,73 @@ class TestResizeEquivalence:
         assert steps() == (2, 8 + 64, 1200)
 
 
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+class TestPumpEntersTheKernel:
+    """The migration pump runs its band on ``SlabHash._execute`` directly.
+
+    Neither the re-insertion nor a failed band's rollback goes through the
+    public batch API, so neither revalidates the band nor re-enters the
+    post-batch policy hook.
+    """
+
+    @pytest.fixture
+    def watch(self, monkeypatch):
+        """Install the spies; returns the call record they fill from then on."""
+
+        def install():
+            calls = {"_run": 0, "_auto_resize": 0, "ops": []}
+            execute = SlabHash._execute
+
+            def counted(name):
+                original = getattr(SlabHash, name)
+
+                def wrapped(self, *args, **kwargs):
+                    calls[name] += 1
+                    return original(self, *args, **kwargs)
+
+                return wrapped
+
+            def recorded_execute(self, op_codes, *args):
+                calls["ops"].append(sorted(set(op_codes.tolist())))
+                return execute(self, op_codes, *args)
+
+            monkeypatch.setattr(SlabHash, "_run", counted("_run"))
+            monkeypatch.setattr(SlabHash, "_auto_resize", counted("_auto_resize"))
+            monkeypatch.setattr(SlabHash, "_execute", recorded_execute)
+            return calls
+
+        return install
+
+    def test_incremental_steps(self, backend, watch):
+        table, keys, values = build_table(8, backend=backend, policy=LoadFactorPolicy())
+        table.begin_resize(32, step_buckets=3)
+        calls = watch()
+        while table.migration is not None:
+            table.migrate_step()
+        assert (calls["_run"], calls["_auto_resize"]) == (0, 0)
+        assert calls["ops"] and all(ops == [C.OP_INSERT] for ops in calls["ops"])
+        assert np.array_equal(table.bulk_search(keys), values)
+
+    def test_stop_the_world_resize(self, backend, watch):
+        table, keys, values = build_table(8, backend=backend, policy=LoadFactorPolicy())
+        calls = watch()
+        table.resize(64)
+        assert (calls["_run"], calls["_auto_resize"]) == (0, 0)
+        assert calls["ops"] == [[C.OP_INSERT]]
+
+    def test_failed_step_rollback(self, backend, watch):
+        table, keys, values = build_table(32, backend=backend)
+        table.begin_resize(2, step_buckets=32)
+        table.alloc.faults = FaultPlan({("alloc.warp_allocate", 0): FaultAction(exc="alloc")})
+        calls = watch()
+        with pytest.raises(AllocationError):
+            table.migrate_step()
+        assert (calls["_run"], calls["_auto_resize"]) == (0, 0)
+        assert calls["ops"] == [[C.OP_INSERT], [C.OP_DELETE]]
+        assert table.migration.watermark == 0
+        assert table.migration.new_lists.live_item_count() == 0
+
+
 class TestGatherBand:
     """The migration's band gather equals the per-bucket ``live_items`` walk."""
 

@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import constants as C
-from repro.core.config import SlabAllocConfig
+from repro.core.bulk_exec import BACKENDS
+from repro.core.config import SlabAllocConfig, SlabConfig
+from repro.core.flush import flush_bucket
+from repro.core.slab_alloc import SlabAlloc
+from repro.core.slab_list import SlabListCollection
 from repro.core.slab_list_single import SlabList
 from repro.gpusim.device import Device
+from repro.gpusim.scheduler import run_sequential
+from repro.gpusim.warp import WARP_SIZE, Warp
+from repro.perf.harness import execution_backend
 
 CFG = SlabAllocConfig(num_super_blocks=2, num_memory_blocks=8, units_per_block=64)
 
@@ -143,3 +150,136 @@ class TestPropertyBased:
             else:
                 assert slab_list.search(key) == reference.get(key)
         assert dict(slab_list.items()) == reference
+
+
+class OneListDriver:
+    """A one-bucket :class:`SlabListCollection` driven warp by warp.
+
+    Each call is one kernel launch; each 32-operation chunk is one warp
+    program under ``run_sequential`` — the schedule a standalone slab list
+    runs, written out by hand as the oracle for :class:`SlabList`.
+    """
+
+    def __init__(self, *, key_value, unique_keys, alloc_config, seed):
+        self.device = Device()
+        self.config = SlabConfig(key_value=key_value, unique_keys=unique_keys)
+        self.alloc = SlabAlloc(self.device, alloc_config, seed=seed)
+        self.lists = SlabListCollection(self.device, self.alloc, 1, self.config)
+        self.warps = 0
+
+    def _warp(self):
+        self.warps += 1
+        return Warp(self.warps - 1, self.device.counters)
+
+    def _launch(self, program, keys, lane_arg):
+        """One kernel launch of ``program`` over ``keys``, 32 lanes per warp.
+
+        ``lane_arg(start)`` builds a warp's last argument (its lane values or
+        its output array); returns each warp's ``(span, argument)``.
+        """
+        keys = np.asarray(keys, dtype=np.uint32)
+        self.device.launch_kernel()
+        warps = []
+        for start in range(0, len(keys), WARP_SIZE):
+            span = min(WARP_SIZE, len(keys) - start)
+            lane_keys = np.full(WARP_SIZE, C.EMPTY_KEY, dtype=np.uint32)
+            lane_keys[:span] = keys[start : start + span]
+            is_active = np.arange(WARP_SIZE) < span
+            buckets = np.zeros(WARP_SIZE, dtype=np.int64)
+            arg = lane_arg(start)
+            run_sequential([program(self._warp(), is_active, buckets, lane_keys, arg)])
+            warps.append((span, arg))
+        return warps
+
+    def _outputs(self, program, keys, make_out):
+        warps = self._launch(program, keys, lambda start: make_out())
+        return [result for span, out in warps for result in out[:span]]
+
+    def extend(self, keys, values):
+        def lane_values(start):
+            if values is None:
+                return None
+            lanes = np.full(WARP_SIZE, C.EMPTY_VALUE, dtype=np.uint32)
+            part = np.asarray(values, dtype=np.uint32)[start : start + WARP_SIZE]
+            lanes[: len(part)] = part
+            return lanes
+
+        op = self.lists.warp_replace if self.config.unique_keys else self.lists.warp_insert
+        self._launch(op, keys, lane_values)
+
+    def delete(self, key):
+        out = self._outputs(self.lists.warp_delete, [key], lambda: np.zeros(WARP_SIZE, dtype=np.int64))
+        return bool(out[0])
+
+    def delete_all(self, key):
+        out = self._outputs(
+            self.lists.warp_delete_all, [key], lambda: np.zeros(WARP_SIZE, dtype=np.int64)
+        )
+        return int(out[0])
+
+    def search_many(self, keys):
+        out = self._outputs(
+            self.lists.warp_search,
+            keys,
+            lambda: np.full(WARP_SIZE, C.SEARCH_NOT_FOUND, dtype=np.uint32),
+        )
+        return np.array(out, dtype=np.uint32)
+
+    def search(self, key):
+        found = int(self.search_many([key])[0])
+        return None if found == C.SEARCH_NOT_FOUND else found
+
+    def search_all(self, key):
+        out = self._outputs(self.lists.warp_search_all, [key], lambda: [[] for _ in range(WARP_SIZE)])
+        return out[0]
+
+    def flush(self):
+        self.device.launch_kernel()
+        return flush_bucket(self.lists, self._warp(), 0)
+
+    def items(self):
+        return self.lists.live_items(0)
+
+    def slab_count(self):
+        return self.lists.slab_count(0)
+
+
+def run_program(target, key_value):
+    """One mixed program; returns every result it observes, in order."""
+    rng = np.random.default_rng(17)
+    keys = rng.integers(1, 50, size=240).astype(np.uint32)
+    values = rng.integers(0, 1000, size=240).astype(np.uint32)
+    vals = (lambda part: part) if key_value else (lambda part: None)
+    seen = []
+    target.extend(keys[:100], vals(values[:100]))
+    target.extend(keys[:0], vals(values[:0]))
+    for key, value in zip(keys[100:120], values[100:120]):
+        target.extend([key], vals([value]))
+    seen.append(target.search_many(keys).tolist())
+    seen.append([target.delete(int(k)) for k in keys[:30]])
+    seen.append([target.search(int(k)) for k in keys[:40]])
+    seen.append([target.search_all(int(k)) for k in keys[:20]])
+    seen.append([target.delete_all(int(k)) for k in keys[30:40]])
+    seen.append(target.slab_count())
+    seen.append(target.flush().slabs_released)
+    target.extend(keys[120:], vals(values[120:]))
+    seen.append(target.search_many(keys).tolist())
+    seen.append(target.items())
+    seen.append(target.slab_count())
+    return seen
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("unique_keys", [True, False])
+@pytest.mark.parametrize("key_value", [True, False])
+def test_matches_hand_driven_one_bucket_collection(key_value, unique_keys, backend):
+    """SlabList (a one-bucket SlabHash) is bit-identical to the hand-driven list."""
+    oracle = OneListDriver(key_value=key_value, unique_keys=unique_keys, alloc_config=CFG, seed=5)
+    with execution_backend(backend):
+        slab_list = new_list(key_value=key_value, unique_keys=unique_keys)
+    assert slab_list.table.backend == backend
+    assert run_program(slab_list, key_value) == run_program(oracle, key_value)
+    assert slab_list.device.counters.as_dict() == oracle.device.counters.as_dict()
+    assert slab_list.lists.base_slabs.tobytes() == oracle.lists.base_slabs.tobytes()
+    for mine, theirs in zip(slab_list.alloc.export_units(), oracle.alloc.export_units()):
+        assert mine.tobytes() == theirs.tobytes()
