@@ -40,7 +40,7 @@ def main() -> None:
 
     # --- The sharded engine: hash-partitioned across 4 devices. ---------
     engine = ShardedSlabHash.for_utilization(
-        NUM_SHARDS, NUM_ELEMENTS, UTILIZATION, policy="hash", seed=42
+        NUM_SHARDS, NUM_ELEMENTS, UTILIZATION, seed=42
     )
     build = engine.measure(
         lambda: engine.bulk_build(keys, values), scale_to_ops=PAPER_OPS, label="build"

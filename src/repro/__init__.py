@@ -6,8 +6,8 @@ Packages
   global memory with atomics and accounting, warp intrinsics, interleaving
   scheduler, analytical cost model).
 * :mod:`repro.core` — the paper's contribution: slab list, slab hash,
-  SlabAlloc / SlabAlloc-light — plus online resizing with adaptive
-  load-factor management (:mod:`repro.core.resize`).
+  SlabAlloc (``light=True`` for SlabAlloc-light) — plus online resizing with
+  adaptive load-factor management (:mod:`repro.core.resize`).
 * :mod:`repro.baselines` — hash-table baselines used by the evaluation
   (CUDPP-style cuckoo hashing, Misra & Chaudhuri's lock-free chaining table,
   the GFSL analytic model).
@@ -37,7 +37,6 @@ True
 from repro.core.resize import LoadFactorPolicy, ResizeResult, ResizeStats
 from repro.core.slab_hash import SlabHash
 from repro.core.slab_alloc import SlabAlloc
-from repro.core.slab_alloc_light import SlabAllocLight
 from repro.core.slab_list import SlabListCollection
 from repro.core.slab_list_single import SlabList
 from repro.core.slab_set import SlabSet
@@ -64,7 +63,6 @@ __all__ = [
     "SlabList",
     "SlabSet",
     "SlabAlloc",
-    "SlabAllocLight",
     "SlabListCollection",
     "SlabAllocConfig",
     "SlabConfig",

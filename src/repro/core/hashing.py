@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core import constants as C
 
-__all__ = ["PRIME", "UniversalHash", "hash_pair"]
+__all__ = ["PRIME", "UniversalHash", "hash_pair", "is_user_key", "user_keys"]
 
 #: The largest prime below 2^32 (2^32 - 5); effectively spans the 32-bit key universe.
 PRIME = 4_294_967_291
@@ -82,3 +82,23 @@ def hash_pair(x: int, y: int, modulus: int, seed: int = 0) -> int:
 def is_user_key(key: int) -> bool:
     """True if ``key`` lies in the storable key domain (reserved values excluded)."""
     return 0 <= int(key) < C.MAX_USER_KEY
+
+
+def user_keys(keys: Iterable[int] | np.ndarray) -> np.ndarray:
+    """``keys`` as a ``uint64`` array, or the domain ``ValueError``.
+
+    The one key-domain check of every batch entry point.  Two-step
+    normalization: value inference first, then a wrap-cast to ``uint64``, so
+    out-of-domain input (a negative key, say) reaches the range check and
+    fails with the domain ``ValueError`` instead of a conversion
+    ``OverflowError``.
+    """
+    inferred = np.asarray(keys)  # repro-lint: disable=np-dtype -- wrap-cast on the next line is the explicit dtype step
+    keys64 = inferred.astype(np.uint64, copy=False)
+    if keys64.size and int(keys64.max()) >= C.MAX_USER_KEY:
+        raise ValueError(
+            f"keys must be below 0x{C.MAX_USER_KEY:08X}: the two largest 32-bit "
+            "values are reserved, so larger or negative keys are outside the "
+            "storable key domain"
+        )
+    return keys64

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, List, Optional, cast
+from typing import TYPE_CHECKING, Optional, cast
 
 import numpy as np
 
@@ -237,7 +237,6 @@ class ResizeStats(StatsRecord):
     migration_steps: int = 0
     migration_buckets: int = 0
     migration_items: int = 0
-    history: List[ResizeResult] = field(default_factory=list, metadata={"as_dict": False})
 
     def note_step(self, *, buckets: int, items: int) -> None:
         """Record one incremental migration step (a band of buckets moved)."""
@@ -247,7 +246,6 @@ class ResizeStats(StatsRecord):
 
     def note(self, result: ResizeResult) -> None:
         """Record one resize outcome."""
-        self.history.append(result)
         if result.direction == "noop":
             self.noops += 1
             return

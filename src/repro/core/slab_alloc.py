@@ -32,10 +32,10 @@ empty, which the CUDA implementation achieves by memsetting pools).
 
 Addresses are the 32-bit layouts of :mod:`repro.core.address`.  The regular
 allocator stores each super block's 64-bit base pointer in shared memory, so
-every address decode on a lookup path costs one shared-memory read; the
-*light* variant (:class:`repro.core.slab_alloc_light.SlabAllocLight`) places
-all super blocks in one contiguous array and skips that read at the price of a
-4 GB capacity limit.  In this simulator both variants keep the same storage,
+every address decode on a lookup path costs one shared-memory read.
+SlabAlloc-light (``light=True``) places all super blocks in one contiguous
+array and skips that read at the price of a 4 GB capacity limit, which the
+constructor enforces.  In this simulator both variants keep the same storage,
 the *slab arena*: the super blocks stored contiguously, one mapping per growth
 step (so at most four with the default configuration, and one until the
 allocator first grows).  A slab's row is plain address arithmetic, and the
@@ -69,6 +69,9 @@ __all__ = ["SlabAlloc", "ResidentBlock"]
 _FULL_WORD = 0xFFFFFFFF
 _BITMAP_WORDS = 32
 
+#: Capacity limit of SlabAlloc-light: a single contiguous array under 4 GB.
+LIGHT_CAPACITY_BYTES = 4 * 1024**3
+
 
 @dataclass
 class ResidentBlock:
@@ -95,8 +98,9 @@ class SlabAlloc:
     seed:
         Seed mixed into the resident-block hash functions.
     light:
-        ``True`` selects the SlabAlloc-light address decode (no shared-memory
-        read per lookup); see :class:`repro.core.slab_alloc_light.SlabAllocLight`.
+        ``True`` selects SlabAlloc-light: one contiguous pool of at most 4 GB
+        (larger configs raise ``ValueError`` before anything is mapped), so an
+        address decode needs no shared-memory read.
     """
 
     def __init__(
@@ -112,6 +116,13 @@ class SlabAlloc:
         self.mem = GlobalMemory(device.counters)
         self.config = config or SlabAllocConfig()
         self.slab_words = int(slab_words)
+        capacity_bytes = self.config.capacity_units * 4 * self.slab_words
+        if light and capacity_bytes > LIGHT_CAPACITY_BYTES:
+            raise ValueError(
+                "SlabAlloc-light requires all super blocks to fit in one contiguous "
+                f"allocation of at most 4 GB; requested {capacity_bytes / 2**30:.1f} GB. "
+                "Use the regular SlabAlloc for larger capacities."
+            )
         self.seed = int(seed)
         self.light = bool(light)
 

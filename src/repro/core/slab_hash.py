@@ -49,7 +49,7 @@ from repro.core import constants as C
 from repro.core.bulk_exec import BACKENDS, BulkExecutor, get_default_backend
 from repro.core.config import SlabAllocConfig, SlabConfig
 from repro.core.flush import FlushResult, flush_all, flush_bucket
-from repro.core.hashing import UniversalHash, is_user_key
+from repro.core.hashing import UniversalHash, is_user_key, user_keys
 from repro.core.resize import (
     LoadFactorPolicy,
     MigrationState,
@@ -61,7 +61,6 @@ from repro.core.resize import (
     resize_table,
 )
 from repro.core.slab_alloc import SlabAlloc
-from repro.core.slab_alloc_light import SlabAllocLight
 from repro.core.slab_list import SlabListCollection
 from repro.gpusim.device import Device
 from repro.gpusim.scheduler import WarpScheduler, run_sequential
@@ -137,12 +136,7 @@ class SlabHash:
         self.device = device or Device()
         self.config = SlabConfig(key_value=key_value, unique_keys=unique_keys)
         if alloc is None:
-            cfg = alloc_config or SlabAllocConfig()
-            alloc = (
-                SlabAllocLight(self.device, cfg, seed=seed)
-                if light_alloc
-                else SlabAlloc(self.device, cfg, seed=seed)
-            )
+            alloc = SlabAlloc(self.device, alloc_config, seed=seed, light=light_alloc)
         self.alloc = alloc
         self.lists = SlabListCollection(self.device, alloc, num_buckets, self.config)
         self.hash_fn = UniversalHash(num_buckets, seed=seed)
@@ -223,18 +217,8 @@ class SlabHash:
         return warp
 
     def _validate_keys(self, keys: Union[Sequence[int], np.ndarray]) -> np.ndarray:
-        # Two-step normalization: value inference first, then a wrap-cast to
-        # uint64, so out-of-domain input (e.g. a negative key) reaches the
-        # range check below and fails with the domain ValueError instead of
-        # a conversion OverflowError.
-        inferred = np.asarray(keys)  # repro-lint: disable=np-dtype -- wrap-cast on the next line is the explicit dtype step
-        keys = inferred.astype(np.uint64, copy=False)
-        if keys.size and int(keys.max()) >= C.MAX_USER_KEY:
-            raise ValueError(
-                f"keys must be below 0x{C.MAX_USER_KEY:08X} "
-                "(the two largest 32-bit values are reserved)"
-            )
-        return keys.astype(np.uint32)
+        """``keys`` as 32-bit words, after the domain check of :func:`user_keys`."""
+        return user_keys(keys).astype(np.uint32)
 
     def _warp_chunks(self, count: int) -> Iterator[Tuple[int, int]]:
         """Yield (start, end) ranges of at most WARP_SIZE operations."""

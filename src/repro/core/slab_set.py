@@ -19,6 +19,7 @@ if TYPE_CHECKING:
 
 from repro.core import constants as C
 from repro.core.config import SlabAllocConfig
+from repro.core.hashing import user_keys
 from repro.core.slab_hash import SlabHash
 from repro.gpusim.device import Device
 
@@ -86,20 +87,20 @@ class SlabSet:
 
     def update(self, keys: Iterable[int]) -> None:
         """Add a batch of keys (one per simulated thread)."""
-        keys = np.fromiter((int(k) for k in keys), dtype=np.uint32)
+        keys = user_keys([int(k) for k in keys])
         if keys.size:
             self._table.bulk_insert(keys)
 
     def contains_many(self, keys: Sequence[int]) -> np.ndarray:
         """Vectorized membership query; returns a boolean array."""
-        keys = np.asarray(keys, dtype=np.uint32)
+        keys = user_keys(keys)
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
         return self._table.bulk_search(keys) != C.SEARCH_NOT_FOUND
 
     def discard_many(self, keys: Sequence[int]) -> int:
         """Remove a batch of keys; returns how many were actually present."""
-        keys = np.asarray(keys, dtype=np.uint32)
+        keys = user_keys(keys)
         if keys.size == 0:
             return 0
         return int(self._table.bulk_delete(keys).sum())

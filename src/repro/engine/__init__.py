@@ -3,8 +3,8 @@
 This package layers a concurrent-workload engine on top of
 :mod:`repro.core`:
 
-* :class:`~repro.engine.router.ShardRouter` — key-space routing policies
-  (hash-partition, range-partition, round-robin for build-only loads);
+* :class:`~repro.engine.router.ShardRouter` — key-space routing by a
+  universal-hash draw, so every occurrence of a key lands on one shard;
 * :class:`~repro.engine.sharded.ShardedSlabHash` — N independent
   :class:`~repro.core.slab_hash.SlabHash` shards, each with its own simulated
   device and allocator, behind SlabHash's bulk/concurrent API.  Shards run
@@ -18,12 +18,11 @@ are driven by this package; ``docs/ARCHITECTURE.md`` shows where it sits in
 the layer diagram.
 """
 
-from repro.engine.router import ROUTING_POLICIES, ShardRouter
+from repro.engine.router import ShardRouter
 from repro.engine.sharded import MigrationInFlightError, ShardedSlabHash
 from repro.engine.stats import EngineStats, ShardPhase, merge_counters
 
 __all__ = [
-    "ROUTING_POLICIES",
     "MigrationInFlightError",
     "ShardRouter",
     "ShardedSlabHash",

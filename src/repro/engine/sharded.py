@@ -7,17 +7,15 @@ independent slab hashes — each with its own simulated
 of SMs or a whole extra GPU — and route operation streams between them with a
 :class:`~repro.engine.router.ShardRouter`.
 
-Because the hash-partition (and range-partition) policies send *every*
-occurrence of a key to the same shard, the relative order of the operations
-on any single key is preserved, and every bulk result is **identical** to
-running the same stream through one unsharded table
-(``tests/engine/test_sharded.py`` asserts this element by element).  A
-``concurrent_batch`` is identical too whenever its outcome is
+Because hash routing sends *every* occurrence of a key to the same shard,
+the relative order of the operations on any single key is preserved, and
+every bulk result is **identical** to running the same stream through one
+unsharded table (``tests/engine/test_sharded.py`` asserts this element by
+element).  A ``concurrent_batch`` is identical too whenever its outcome is
 schedule-independent (no conflicting operations on the same key within the
 batch); conflicting concurrent operations are resolved by *some* legal
 schedule in both settings, but not necessarily the same one, exactly as on
-real hardware.  What
-changes is the performance model: shards execute concurrently, so the
+real hardware.  What changes is the performance model: shards execute concurrently, so the
 engine's modelled time for a phase is the *slowest shard's* time rather than
 the sum — :meth:`ShardedSlabHash.measure` returns an
 :class:`~repro.engine.stats.EngineStats` with both views plus the merged
@@ -36,9 +34,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import DTypeLike
 
-from repro.core import constants as C
 from repro.core.config import SlabAllocConfig
-from repro.core.hashing import is_user_key
+from repro.core.hashing import is_user_key, user_keys
 from repro.core.resize import LoadFactorPolicy, MigrationStepResult, ResizeResult
 from repro.core.slab_hash import SlabHash
 from repro.engine.router import ShardRouter
@@ -83,9 +80,6 @@ class ShardedSlabHash:
         Bucket count of each shard's slab hash.  With hash routing an
         N-shard engine with ``B`` buckets per shard behaves like one table
         with ``N * B`` buckets.
-    policy:
-        Routing policy (see :class:`~repro.engine.router.ShardRouter`):
-        ``"hash"`` (default), ``"range"``, or ``"round-robin"`` (build-only).
     device_spec:
         Hardware model used for every shard's fresh device.
     key_value / unique_keys / light_alloc / alloc_config:
@@ -105,8 +99,7 @@ class ShardedSlabHash:
         independently (automatically after mutating batches when the
         policy's ``auto`` flag is set, or on :meth:`maybe_resize` when
         deferred).  :meth:`rebalance` additionally right-sizes unevenly
-        loaded shards directly to the policy's target beta.  (Named to
-        avoid clashing with ``policy``, the routing policy.)
+        loaded shards directly to the policy's target beta.
     """
 
     def __init__(
@@ -114,7 +107,6 @@ class ShardedSlabHash:
         num_shards: int,
         buckets_per_shard: int,
         *,
-        policy: str = "hash",
         device_spec: DeviceSpec = TESLA_K40C,
         key_value: bool = True,
         unique_keys: bool = True,
@@ -126,7 +118,7 @@ class ShardedSlabHash:
     ) -> None:
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
-        self.router = ShardRouter(num_shards, policy=policy, seed=seed)
+        self.router = ShardRouter(num_shards, seed=seed)
         self.shards: List[SlabHash] = [
             SlabHash(
                 buckets_per_shard,
@@ -186,14 +178,6 @@ class ShardedSlabHash:
         """Per-shard devices."""
         return [shard.device for shard in self.shards]
 
-    def _require_key_partitioning(self, operation: str) -> None:
-        if not self.router.key_partitioning:
-            raise ValueError(
-                f"{operation} needs a key-partitioning routing policy "
-                f"(hash or range); {self.router.policy!r} routes by stream "
-                "position, so lookups could land on the wrong shard"
-            )
-
     def _partition(self, keys: np.ndarray) -> List[np.ndarray]:
         parts = self.router.partition(keys)
         for shard, idx in enumerate(parts):
@@ -210,12 +194,10 @@ class ShardedSlabHash:
         consistent with streams that went through :meth:`concurrent_batch` —
         including the deterministic WAL replay of such batches on recovery.
         """
-        self._require_key_partitioning("admit_partition")
-        return self._partition(np.asarray(keys, dtype=np.uint64))
+        return self._partition(user_keys(keys))
 
     def admit_one(self, key: int) -> int:
         """Shard index for one admitted key (single-op :meth:`admit_partition`)."""
-        self._require_key_partitioning("admit_one")
         shard = self.router.shard_of(key)
         self._ops_routed[shard] += 1
         return shard
@@ -230,20 +212,8 @@ class ShardedSlabHash:
 
     def bulk_insert(self, keys: Sequence[int], values: Optional[Sequence[int]] = None) -> None:
         """Route a batch of insertions to their shards and run each sub-batch."""
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = user_keys(keys)
         vals = None if values is None else np.asarray(values, dtype=np.int64)
-        if (
-            not self.router.key_partitioning
-            and self.shards[0].config.unique_keys
-            and np.unique(keys).size != keys.size
-        ):
-            # Round-robin would deal two occurrences of a key to different
-            # shards, silently defeating REPLACE semantics.
-            raise ValueError(
-                "round-robin routing cannot uphold unique-key (REPLACE) "
-                "semantics for batches with repeated keys; use the hash or "
-                "range policy, or deduplicate the batch"
-            )
         self._per_shard(
             keys,
             lambda shard, idx: self.shards[shard].bulk_insert(
@@ -253,16 +223,14 @@ class ShardedSlabHash:
 
     def bulk_search(self, queries: Sequence[int]) -> np.ndarray:
         """Search a batch; results are in query order, exactly as SlabHash returns them."""
-        self._require_key_partitioning("bulk_search")
-        queries = np.asarray(queries, dtype=np.uint64)
+        queries = user_keys(queries)
         return self._per_shard(
             queries, lambda shard, idx: self.shards[shard].bulk_search(queries[idx])
         )
 
     def bulk_delete(self, keys: Sequence[int]) -> np.ndarray:
         """Delete a batch; returns per-key removed counts in key order."""
-        self._require_key_partitioning("bulk_delete")
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = user_keys(keys)
         return self._per_shard(
             keys, lambda shard, idx: self.shards[shard].bulk_delete(keys[idx]), dtype=np.int64
         )
@@ -291,9 +259,8 @@ class ShardedSlabHash:
         with SlabHash's conventions: found value for searches, 1/0 for
         deletions, 0 for insertions.
         """
-        self._require_key_partitioning("concurrent_batch")
         op_codes = np.asarray(op_codes, dtype=np.int64)
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = user_keys(keys)
         if op_codes.shape != keys.shape:
             raise ValueError("op_codes and keys must have the same length")
         vals = None if values is None else np.asarray(values, dtype=np.int64)
@@ -338,7 +305,6 @@ class ShardedSlabHash:
         self.shards[shard].insert(key, value)
 
     def search(self, key: int) -> Optional[int]:
-        self._require_key_partitioning("search")
         shard = self.router.shard_of(key)
         self._ops_routed[shard] += 1
         return self.shards[shard].search(key)
@@ -347,21 +313,18 @@ class ShardedSlabHash:
         return is_user_key(key) and self.search(key) is not None
 
     def delete(self, key: int) -> bool:
-        self._require_key_partitioning("delete")
         shard = self.router.shard_of(key)
         self._ops_routed[shard] += 1
         return self.shards[shard].delete(key)
 
     def search_all(self, key: int) -> List[int]:
         """Every value stored under ``key`` (duplicates mode; cf. SlabHash)."""
-        self._require_key_partitioning("search_all")
         shard = self.router.shard_of(key)
         self._ops_routed[shard] += 1
         return self.shards[shard].search_all(key)
 
     def delete_all(self, key: int) -> int:
         """Delete every occurrence of ``key``; returns the number removed."""
-        self._require_key_partitioning("delete_all")
         shard = self.router.shard_of(key)
         self._ops_routed[shard] += 1
         return self.shards[shard].delete_all(key)
@@ -443,10 +406,9 @@ class ShardedSlabHash:
     ) -> List[ResizeResult]:
         """Right-size unevenly loaded shards to the policy's target beta.
 
-        Hash routing keeps shard sizes *nearly* equal, but skew (or a range
-        policy over a skewed key space) can leave shards with very different
-        betas even when each is individually inside the band.  Rebalancing
-        resizes every shard whose bucket count is more than the policy's
+        Hash routing keeps shard sizes *nearly* equal, but skew can leave
+        shards with very different betas even when each is individually
+        inside the band.  Rebalancing resizes every shard whose bucket count is more than the policy's
         hysteresis away from the target for its current contents.
 
         Uses ``load_factor_policy`` if given, else each shard's own policy;
@@ -615,6 +577,5 @@ class ShardedSlabHash:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedSlabHash(shards={self.num_shards}, "
-            f"policy={self.router.policy!r}, buckets={self.num_buckets}, "
-            f"elements={len(self)})"
+            f"buckets={self.num_buckets}, elements={len(self)})"
         )

@@ -12,7 +12,7 @@ experiment reports:
 * **serial time** — the sum of per-shard times, i.e. what one device running
   the shards back to back would take; ``parallel_speedup`` is their ratio;
 * **load imbalance** — max over mean operations per shard; a perfectly
-  balanced routing policy gives 1.0.
+  balanced split gives 1.0.
 
 Throughput follows the same *simulate small, model at paper scale*
 methodology as :func:`repro.perf.metrics.measure_phase`: per-shard event

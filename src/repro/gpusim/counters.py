@@ -160,10 +160,7 @@ def scale_counters(counters: Counters, factor: float) -> Counters:
 
 
 class StatsRecord:
-    """Base of the stats dataclasses: one JSON-ready :meth:`as_dict` for all.
-
-    A field declared with ``metadata={"as_dict": False}`` is left out.
-    """
+    """Base of the stats dataclasses: one JSON-ready :meth:`as_dict` for all."""
 
     def as_dict(self) -> Dict[str, Any]:
         """The dataclass fields, then the public properties, as plain data.
@@ -172,7 +169,7 @@ class StatsRecord:
         record, a :class:`~repro.perf.latency.LatencyReport`) goes through it.
         """
         cls = type(self)
-        names = [f.name for f in fields(cast(Any, self)) if f.metadata.get("as_dict", True)]
+        names = [f.name for f in fields(cast(Any, self))]
         names += [
             name
             for name in dir(cls)

@@ -838,7 +838,6 @@ def shard_sweep(
     *,
     utilization: float = 0.6,
     paper_operations: int = PAPER_BULK_ELEMENTS,
-    policy: str = "hash",
     seed: int = 0,
 ) -> FigureResult:
     """Shard-count sweep of the sharded multi-table engine (beyond the paper).
@@ -859,7 +858,7 @@ def shard_sweep(
     """
     result = FigureResult(
         figure_id="Shard sweep",
-        title=f"Sharded engine scaling (routing={policy}, utilization {utilization:.0%})",
+        title=f"Sharded engine scaling (hash routing, utilization {utilization:.0%})",
         x_label="number of shards",
         y_label="operation rate (M ops/s)",
         notes="Each shard is an independent SlabHash on its own simulated "
@@ -884,7 +883,6 @@ def shard_sweep(
             num_shards,
             sim_elements,
             utilization,
-            policy=policy,
             alloc_config=SIM_ALLOC_CONFIG,
             seed=seed,
         )

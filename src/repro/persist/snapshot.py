@@ -16,8 +16,8 @@ interesting consequence is what can be *left out*: per-warp resident-block
 caches never outlive a batch (warp ids are never reused), so allocator
 behavior is fully determined by the warp counter and the bitmaps.
 
-An engine snapshot is a directory: ``manifest.json`` (router draw, routing
-policy, per-shard ops accounting, shard file names) plus one table snapshot
+An engine snapshot is a directory: ``manifest.json`` (the router's hash
+draw, per-shard ops accounting, shard file names) plus one table snapshot
 per shard.
 
 :func:`save` / :func:`load` dispatch on the object/path kind; the format is
@@ -37,7 +37,6 @@ import numpy as np
 from repro.core.config import SlabAllocConfig
 from repro.core.resize import LoadFactorPolicy, MigrationState
 from repro.core.slab_alloc import SlabAlloc
-from repro.core.slab_alloc_light import SlabAllocLight
 from repro.core.slab_hash import SlabHash
 from repro.core.slab_list import SlabListCollection
 from repro.engine.router import ShardRouter
@@ -57,7 +56,9 @@ __all__ = [
 #: Version 2 added the ``migration`` header field and the
 #: ``migration_base_slabs`` array so a table can be snapshotted (and
 #: restored bit-identically) while an incremental resize is in flight.
-SNAPSHOT_VERSION = 2
+#: Version 3 reduced the manifest's ``router`` block to the hash draw
+#: ``{a, b}``, since routing is hash-only.
+SNAPSHOT_VERSION = 3
 
 _FORMAT = "slabhash-snapshot"
 _MANIFEST = "manifest.json"
@@ -86,7 +87,7 @@ def _table_header(table: SlabHash, wal_min_batch_index: int) -> Dict[str, object
         "hash": {"a": table.hash_fn.a, "b": table.hash_fn.b,
                  "num_buckets": table.hash_fn.num_buckets},
         "alloc": {
-            "light": isinstance(alloc, SlabAllocLight),
+            "light": alloc.light,
             "seed": alloc.seed,
             "slab_words": alloc.slab_words,
             "num_super_blocks": alloc.num_super_blocks,
@@ -159,9 +160,12 @@ def _load_table(path: str) -> SlabHash:
     device = Device(spec)
     alloc_info = header["alloc"]
     alloc_config = SlabAllocConfig(**alloc_info["config"])
-    alloc_cls = SlabAllocLight if alloc_info["light"] else SlabAlloc
-    alloc = alloc_cls(
-        device, alloc_config, slab_words=alloc_info["slab_words"], seed=alloc_info["seed"]
+    alloc = SlabAlloc(
+        device,
+        alloc_config,
+        slab_words=alloc_info["slab_words"],
+        seed=alloc_info["seed"],
+        light=alloc_info["light"],
     )
     alloc.restore_units(addresses, words, num_super_blocks=alloc_info["num_super_blocks"])
 
@@ -220,19 +224,13 @@ def _save_engine(engine: ShardedSlabHash, path: str, wal_min_batch_index: int = 
     shard_files = [f"shard-{index:03d}.npz" for index in range(engine.num_shards)]
     for shard, name in zip(engine.shards, shard_files):
         _save_table(shard, os.path.join(path, name))
-    router = engine.router
     manifest = {
         "format": _FORMAT,
         "version": SNAPSHOT_VERSION,
         "kind": "sharded_slab_hash",
         "wal_min_batch_index": int(wal_min_batch_index),
         "num_shards": engine.num_shards,
-        "router": {
-            "policy": router.policy,
-            "hash": None if router._hash is None else
-                    {"a": router._hash.a, "b": router._hash.b},
-            "rr_cursor": router._rr_cursor,
-        },
+        "router": {"a": engine.router._hash.a, "b": engine.router._hash.b},
         "ops_routed": [int(count) for count in engine._ops_routed],
         "shards": shard_files,
     }
@@ -249,11 +247,9 @@ def _load_engine(path: str) -> ShardedSlabHash:
     shards = [_load_table(os.path.join(path, name)) for name in manifest["shards"]]
 
     engine = ShardedSlabHash.__new__(ShardedSlabHash)
-    router = ShardRouter(manifest["num_shards"], policy=manifest["router"]["policy"])
-    if router._hash is not None:
-        router._hash.a = manifest["router"]["hash"]["a"]
-        router._hash.b = manifest["router"]["hash"]["b"]
-    router._rr_cursor = manifest["router"]["rr_cursor"]
+    router = ShardRouter(manifest["num_shards"])
+    router._hash.a = manifest["router"]["a"]
+    router._hash.b = manifest["router"]["b"]
     engine.router = router
     engine.shards = shards
     engine.cost_model = CostModel(shards[0].device.spec)

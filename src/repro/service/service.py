@@ -92,7 +92,7 @@ from typing import List, Optional, Sequence, Set, Tuple, Type, Union
 import numpy as np
 
 from repro.core import constants as C
-from repro.core.hashing import is_user_key
+from repro.core.hashing import user_keys
 from repro.core.slab_hash import SlabHash
 from repro.engine.sharded import ShardedSlabHash
 from repro.faults import FaultPlan, InjectedFault
@@ -523,8 +523,7 @@ class SlabHashService:
         deadline: Optional[float] = None,
     ) -> "asyncio.Future[np.ndarray]":
         self._require_running()
-        if not is_user_key(key):
-            raise ValueError(f"key 0x{int(key):08X} is outside the storable key domain")
+        keys = user_keys([key])
         shard = self.engine.admit_one(key) if self._sharded else 0
         self._admission_check(shard, 1)
         future: "asyncio.Future[np.ndarray]" = asyncio.get_running_loop().create_future()
@@ -532,7 +531,7 @@ class SlabHashService:
         slice_ = OpSlice(future, 1)
         chunk = OpChunk(
             np.array([op_code], dtype=np.int64),
-            np.array([key], dtype=np.uint64),
+            keys,
             np.array([value], dtype=np.uint32) if self._key_value else None,
             slice_,
             np.zeros(1, dtype=np.int64),
@@ -608,7 +607,7 @@ class SlabHashService:
         """
         self._require_running()
         op_codes = np.asarray(op_codes, dtype=np.int64)
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = user_keys(keys)
         if values is None:
             values = np.zeros(len(keys), dtype=np.uint32)
         values = np.asarray(values, dtype=np.uint32)
@@ -619,9 +618,6 @@ class SlabHashService:
         if not np.isin(op_codes, _VALID_OPS).all():
             bad = op_codes[~np.isin(op_codes, _VALID_OPS)][0]
             raise ValueError(f"unknown operation code {int(bad)!r}")
-        if (keys >= np.uint64(C.MAX_USER_KEY)).any():
-            bad = keys[keys >= np.uint64(C.MAX_USER_KEY)][0]
-            raise ValueError(f"key 0x{int(bad):08X} is outside the storable key domain")
 
         if self._sharded:
             parts = self.engine.admit_partition(keys)

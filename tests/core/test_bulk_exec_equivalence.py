@@ -271,15 +271,14 @@ class TestAllocatorInteraction:
 
 
 class TestShardedEngine:
-    @pytest.mark.parametrize("policy", ["hash", "range"])
-    def test_sharded_engine_backends_are_equivalent(self, policy):
+    def test_sharded_engine_backends_are_equivalent(self):
         rng = np.random.default_rng(29)
         keys = rng.choice(2**24, 700, replace=False).astype(np.uint32)
         values = np.arange(700, dtype=np.uint32)
 
         def build(backend):
             return ShardedSlabHash(
-                3, 4, policy=policy, alloc_config=SMALL_ALLOC, seed=31, backend=backend
+                3, 4, alloc_config=SMALL_ALLOC, seed=31, backend=backend
             )
 
         reference, vectorized = build("reference"), build("vectorized")

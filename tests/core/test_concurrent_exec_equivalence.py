@@ -410,14 +410,13 @@ class TestUniformBatchIdentity:
 
 
 class TestShardedEngine:
-    @pytest.mark.parametrize("policy", ["hash", "range"])
-    def test_sharded_concurrent_batches_are_equivalent(self, policy):
+    def test_sharded_concurrent_batches_are_equivalent(self):
         keys = unique_random_keys(600, seed=29)
         values = values_for_keys(keys)
 
         def build(backend):
             engine = ShardedSlabHash(
-                3, 4, policy=policy, alloc_config=SMALL_ALLOC, seed=31, backend=backend
+                3, 4, alloc_config=SMALL_ALLOC, seed=31, backend=backend
             )
             engine.bulk_build(keys, values)
             return engine

@@ -17,7 +17,6 @@ from repro.core import constants as C
 from repro.core.address import decode_address, make_address
 from repro.core.config import SlabAllocConfig
 from repro.core.slab_alloc import SlabAlloc
-from repro.core.slab_alloc_light import SlabAllocLight
 from repro.core.slab_hash import SlabHash
 from repro.gpusim.device import Device
 from repro.gpusim.errors import AllocationError, SlabAllocExhausted
@@ -261,7 +260,7 @@ class TestContention:
 class TestSlabAllocLight:
     def test_light_variant_skips_shared_memory_decode(self):
         device = Device()
-        light = SlabAllocLight(device, SlabAllocConfig(2, 8, 64), seed=1)
+        light = SlabAlloc(device, SlabAllocConfig(2, 8, 64), seed=1, light=True)
         light.charge_address_decode()
         assert device.counters.shared_reads == 0
 
@@ -270,16 +269,35 @@ class TestSlabAllocLight:
         alloc.charge_address_decode()
         assert device.counters.shared_reads == 1
 
-    def test_light_variant_rejects_configs_over_4gb(self):
+    def test_light_variant_rejects_configs_over_4gb(self, monkeypatch):
+        """The bound is checked before anything is mapped."""
+        mapped = []
+        monkeypatch.setattr(SlabAlloc, "_add_super_blocks", lambda self, n: mapped.append(n))
+        with pytest.raises(ValueError, match="4 GB"):
+            SlabAlloc(Device(), SlabAllocConfig(256, 2**14, 1024), light=True)
+        assert mapped == []
+
+    def test_light_bound_is_inclusive_and_regular_alloc_is_unbounded(self, monkeypatch):
+        monkeypatch.setattr(SlabAlloc, "_add_super_blocks", lambda self, n: None)
+        # 32 x 256 x 1024 units of 128 bytes is exactly 1 GB; 128 super blocks
+        # is exactly 4 GB, the largest pool SlabAlloc-light accepts.
+        assert SlabAlloc(Device(), SlabAllocConfig(128, 256, 1024), light=True).light
         with pytest.raises(ValueError):
-            SlabAllocLight(Device(), SlabAllocConfig(256, 2**14, 1024))
+            SlabAlloc(Device(), SlabAllocConfig(129, 256, 1024), light=True)
+        assert not SlabAlloc(Device(), SlabAllocConfig(256, 2**14, 1024)).light
 
     def test_light_variant_allocates_like_the_regular_one(self):
         device = Device()
-        light = SlabAllocLight(device, SlabAllocConfig(2, 8, 64), seed=1)
+        light = SlabAlloc(device, SlabAllocConfig(2, 8, 64), seed=1, light=True)
         warp = Warp(0, device.counters)
         addresses = [light.warp_allocate(warp) for _ in range(50)]
         assert len(set(addresses)) == 50
+
+    def test_slab_hash_light_flag_reaches_the_allocator(self):
+        table = SlabHash(4, light_alloc=True, alloc_config=SlabAllocConfig(2, 8, 64))
+        assert table.alloc.light
+        with pytest.raises(ValueError, match="4 GB"):
+            SlabHash(4, light_alloc=True, alloc_config=SlabAllocConfig(256, 2**14, 1024))
 
 
 def _numpy_madvise_hugepage():

@@ -1,10 +1,9 @@
-"""Tests for the shard router: every policy must partition the stream."""
+"""Tests for the shard router: hash routing must partition the stream by key."""
 
 import numpy as np
 import pytest
 
-from repro.core import constants as C
-from repro.engine.router import ROUTING_POLICIES, ShardRouter
+from repro.engine.router import ShardRouter
 
 from tests.conftest import make_keys
 
@@ -14,25 +13,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ShardRouter(0)
 
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            ShardRouter(4, policy="random")
-
-    def test_key_partitioning_flag(self):
-        assert ShardRouter(4, policy="hash").key_partitioning
-        assert ShardRouter(4, policy="range").key_partitioning
-        assert not ShardRouter(4, policy="round-robin").key_partitioning
-
 
 @pytest.mark.smoke
 class TestPartitionProperty:
     """Routing must send every stream position to exactly one shard."""
 
-    @pytest.mark.parametrize("policy", ROUTING_POLICIES)
     @pytest.mark.parametrize("num_shards", (1, 3, 8))
-    def test_partition_is_disjoint_and_complete(self, policy, num_shards):
+    def test_partition_is_disjoint_and_complete(self, num_shards):
         keys = make_keys(500, seed=11)
-        parts = ShardRouter(num_shards, policy=policy, seed=5).partition(keys)
+        parts = ShardRouter(num_shards, seed=5).partition(keys)
         assert len(parts) == num_shards
         merged = np.concatenate(parts)
         assert merged.size == keys.size  # complete
@@ -40,9 +29,8 @@ class TestPartitionProperty:
         for idx in parts:
             assert np.array_equal(idx, np.sort(idx))  # stream order kept
 
-    @pytest.mark.parametrize("policy", ("hash", "range"))
-    def test_key_policies_are_functions_of_the_key(self, policy):
-        router = ShardRouter(6, policy=policy, seed=3)
+    def test_routing_is_a_function_of_the_key(self):
+        router = ShardRouter(6, seed=3)
         keys = make_keys(200, seed=2)
         first = router.route(keys)
         again = router.route(np.flip(keys))
@@ -50,44 +38,14 @@ class TestPartitionProperty:
         for key, shard in zip(keys[:10], first[:10]):
             assert router.shard_of(int(key)) == shard
 
-    def test_range_policy_is_monotone_in_the_key(self):
-        router = ShardRouter(4, policy="range")
-        keys = np.sort(make_keys(300, seed=7))
-        shards = router.route(keys)
-        assert np.all(np.diff(shards) >= 0)
-        assert int(shards.max()) < 4
-        # The largest storable key must still land in the last shard.
-        assert router.shard_of(C.MAX_USER_KEY - 1) == 3
-
-    def test_range_policy_keeps_reserved_keys_in_range(self):
-        """Out-of-domain keys route to a real shard whose validation rejects them."""
-        router = ShardRouter(4, policy="range")
-        for key in (C.MAX_USER_KEY, 0xFFFFFFFF):
-            assert router.shard_of(key) == 3
-
-
-class TestRoundRobin:
-    def test_deals_in_rotation_across_calls(self):
-        router = ShardRouter(3, policy="round-robin")
-        a = router.route(make_keys(4, seed=1))
-        b = router.route(make_keys(5, seed=2))
-        assert list(a) == [0, 1, 2, 0]
-        assert list(b) == [1, 2, 0, 1, 2]  # continues where the last call stopped
-
-    def test_perfectly_balances_a_build_stream(self):
-        router = ShardRouter(4, policy="round-robin")
-        parts = router.partition(make_keys(400, seed=3))
-        assert [p.size for p in parts] == [100, 100, 100, 100]
-
 
 class TestBalance:
     def test_hash_routing_is_roughly_balanced(self):
-        parts = ShardRouter(8, policy="hash", seed=0).partition(make_keys(4000, seed=9))
+        parts = ShardRouter(8, seed=0).partition(make_keys(4000, seed=9))
         sizes = np.array([p.size for p in parts])
         assert sizes.min() > 0
         assert sizes.max() / sizes.mean() < 1.5
 
     def test_single_shard_routes_everything_to_shard_zero(self):
         keys = make_keys(64, seed=4)
-        for policy in ROUTING_POLICIES:
-            assert not ShardRouter(1, policy=policy).route(keys).any()
+        assert not ShardRouter(1).route(keys).any()

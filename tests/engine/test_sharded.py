@@ -15,14 +15,14 @@ from tests.conftest import make_keys
 ALLOC = SlabAllocConfig(num_super_blocks=2, num_memory_blocks=16, units_per_block=64)
 
 
-def make_engine(num_shards, *, policy="hash", buckets=8, **kwargs):
-    return ShardedSlabHash(num_shards, buckets, policy=policy, alloc_config=ALLOC, **kwargs)
+def make_engine(num_shards, *, buckets=8, **kwargs):
+    return ShardedSlabHash(num_shards, buckets, alloc_config=ALLOC, **kwargs)
 
 
-def make_pair(num_shards, num_elements, *, policy="hash", seed=0):
+def make_pair(num_shards, num_elements, *, seed=0):
     """A sharded engine and an unsharded reference table of equal total size."""
     engine = ShardedSlabHash.for_utilization(
-        num_shards, num_elements, 0.6, policy=policy, alloc_config=ALLOC, seed=seed
+        num_shards, num_elements, 0.6, alloc_config=ALLOC, seed=seed
     )
     single = SlabHash(
         SlabHash.buckets_for_utilization(num_elements, 0.6), alloc_config=ALLOC, seed=seed
@@ -48,13 +48,12 @@ class TestConstruction:
 class TestBulkEquivalence:
     """Sharded bulk results must be bit-identical to one unsharded table."""
 
-    @pytest.mark.parametrize("policy", ("hash", "range"))
     @pytest.mark.parametrize("num_shards", (1, 2, 5, 8))
-    def test_build_search_delete_match_single_table(self, num_shards, policy):
+    def test_build_search_delete_match_single_table(self, num_shards):
         n = 600
         keys = unique_random_keys(n, seed=21)
         values = values_for_keys(keys)
-        engine, single = make_pair(num_shards, n, policy=policy, seed=1)
+        engine, single = make_pair(num_shards, n, seed=1)
 
         engine.bulk_build(keys, values)
         single.bulk_build(keys, values)
@@ -80,10 +79,9 @@ class TestBulkEquivalence:
         assert np.array_equal(engine.bulk_delete(keys), single.bulk_delete(keys))
         assert len(engine) == len(single) == 0
 
-    @pytest.mark.parametrize("policy", ("hash", "range"))
-    def test_reserved_keys_are_rejected_like_the_single_table(self, policy):
+    def test_reserved_keys_are_rejected_like_the_single_table(self):
         """Out-of-domain keys must raise, never be silently dropped."""
-        engine = make_engine(2, policy=policy, buckets=16)
+        engine = make_engine(2, buckets=16)
         bad = np.array([0xFFFFFFFF], dtype=np.uint64)
         with pytest.raises(ValueError):
             engine.bulk_insert(bad, np.array([7], dtype=np.uint32))
@@ -131,40 +129,6 @@ class TestConcurrentEquivalence:
         out_single = single.concurrent_batch(ops, keys, vals)
         assert np.array_equal(out_sharded, out_single)
         assert len(engine) == len(single)
-
-
-class TestRoundRobinPolicy:
-    def test_build_only_loads_are_allowed_and_balanced(self):
-        keys = make_keys(80, seed=5)
-        engine = make_engine(4, policy="round-robin")
-        engine.bulk_insert(keys, values_for_keys(keys))
-        assert len(engine) == 80
-        assert engine.shard_sizes().tolist() == [20, 20, 20, 20]
-
-    def test_duplicate_keys_in_unique_mode_are_refused(self):
-        """Round-robin would split a repeated key across shards, breaking REPLACE."""
-        engine = make_engine(2, policy="round-robin")
-        with pytest.raises(ValueError, match="round-robin"):
-            engine.bulk_insert(np.array([5, 5]), np.array([1, 2]))
-        # Duplicates mode stores every occurrence anyway, so it is allowed.
-        relaxed = make_engine(2, policy="round-robin", unique_keys=False)
-        relaxed.bulk_insert(np.array([5, 5]), np.array([1, 2]))
-        assert len(relaxed) == 2
-
-    def test_lookups_through_round_robin_are_refused(self):
-        engine = make_engine(2, policy="round-robin")
-        engine.bulk_insert(*[np.array([5]), np.array([1])])
-        for call in (
-            lambda: engine.bulk_search(np.array([5])),
-            lambda: engine.bulk_delete(np.array([5])),
-            lambda: engine.concurrent_batch(
-                np.array([C.OP_SEARCH]), np.array([5]), np.array([0])
-            ),
-            lambda: engine.search(5),
-            lambda: engine.delete(5),
-        ):
-            with pytest.raises(ValueError, match="round-robin"):
-                call()
 
 
 class TestSingleOperationApi:

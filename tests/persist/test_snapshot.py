@@ -195,6 +195,7 @@ class TestEngineRoundTrip:
             manifest = json.load(handle)
         assert manifest["version"] == SNAPSHOT_VERSION
         assert manifest["kind"] == "sharded_slab_hash"
+        assert manifest["router"] == {"a": engine.router._hash.a, "b": engine.router._hash.b}
         assert len(manifest["shards"]) == 2
         for name in manifest["shards"]:
             assert os.path.exists(os.path.join(path, name))
@@ -279,6 +280,28 @@ class TestFormatGuards:
             np.savez(handle, header=np.array(json.dumps(header)), **arrays)
         with pytest.raises(ValueError, match="version"):
             load(path)
+
+    @pytest.mark.parametrize("version", [2, SNAPSHOT_VERSION + 1])
+    def test_load_rejects_other_manifest_versions(self, tmp_path, version):
+        """A v2 manifest may name another routing policy; it is refused, not misread."""
+        path = str(tmp_path / "engine-snapshot")
+        save(ShardedSlabHash(2, 4, alloc_config=SMALL_ALLOC, seed=1), path)
+        manifest_path = os.path.join(path, "manifest.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["version"] = version
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ValueError, match="version"):
+            load(path)
+
+    def test_light_allocator_round_trips(self, tmp_path):
+        table = SlabHash(4, light_alloc=True, alloc_config=SMALL_ALLOC, seed=1)
+        keys = make_keys(100, seed=1)
+        table.bulk_build(keys, keys)
+        restored = load(save(table, str(tmp_path / "light.npz")))
+        assert restored.alloc.light
+        assert_bit_identical(table, restored)
 
     def test_table_save_load_hooks(self, tmp_path):
         table = SlabHash(8, alloc_config=SMALL_ALLOC, seed=2)
