@@ -88,8 +88,8 @@ def flush_bucket(lists: SlabListCollection, warp: Warp, bucket: int) -> FlushRes
         mem.write_slab(store, row, words)
 
     # Pass 3: release the slabs that are no longer needed.
-    for address in release:
-        lists.alloc.deallocate(warp, address)
+    if release:
+        lists.alloc.deallocate(warp, np.asarray(release, dtype=np.int64))
 
     return FlushResult(
         bucket=bucket,

@@ -120,8 +120,12 @@ class LoadFactorPolicy:
         band of buckets each, so no single batch's latency absorbs a full
         rebuild.
     migration_step_buckets:
-        How many buckets one incremental migration step moves (the bounded
-        unit of work interleaved between batches).
+        How many buckets one incremental migration step moves: the bounded
+        unit of work interleaved between batches.  A pump call
+        (:meth:`~repro.core.slab_hash.SlabHash.maybe_resize`) makes one
+        step, so this band is also its pause bound; the band's items are
+        re-inserted by one kernel launch and its old slabs released by one
+        ``deallocate`` call.
     """
 
     beta_low: float = 0.25
@@ -133,7 +137,7 @@ class LoadFactorPolicy:
     min_buckets: int = 1
     auto: bool = True
     incremental: bool = False
-    migration_step_buckets: int = 8
+    migration_step_buckets: int = 64
 
     def __post_init__(self) -> None:
         if self.migration_step_buckets < 1:
@@ -417,9 +421,7 @@ def migrate_step(table: SlabHash) -> MigrationStepResult:
                 raise
 
     if band_chained.size:
-        warp = table._next_warp()
-        for address in band_chained.tolist():
-            table.alloc.deallocate(warp, address)
+        table.alloc.deallocate(table._next_warp(), band_chained)
     old_lists.base_slabs[lo:hi] = C.EMPTY_KEY
 
     state.watermark = hi
@@ -488,7 +490,5 @@ def resize_table(table: SlabHash, num_buckets: int, *, trigger: str = "manual") 
         return cast(ResizeResult, migrate_step(table).result)
     except Exception:
         table.migration = None
-        warp = table._next_warp()
-        for address in new_lists.chain_table().allocated_addresses().tolist():
-            table.alloc.deallocate(warp, address)
+        table.alloc.deallocate(table._next_warp(), new_lists.chain_table().allocated_addresses())
         raise

@@ -35,10 +35,10 @@ allocator stores each super block's 64-bit base pointer in shared memory, so
 every address decode on a lookup path costs one shared-memory read.
 SlabAlloc-light (``light=True``) places all super blocks in one contiguous
 array and skips that read at the price of a 4 GB capacity limit, which the
-constructor enforces.  In this simulator both variants keep the same storage,
-the *slab arena*: the super blocks stored contiguously, one mapping per growth
-step (so at most four with the default configuration, and one until the
-allocator first grows).  A slab's row is plain address arithmetic, and the
+constructor and growth enforce.  In this simulator both variants keep the same
+storage, the *slab arena*: the super blocks stored contiguously, one mapping
+per growth step (so at most four with the default configuration, and one until
+the allocator first grows).  A slab's row is plain address arithmetic, and the
 host-side vectorized reads and writes (:meth:`SlabAlloc.read_slabs`,
 :meth:`SlabAlloc.write_slabs`) loop only over those few mappings.  The device
 cost of a decode is modelled separately, in
@@ -50,7 +50,7 @@ from __future__ import annotations
 import bisect
 import mmap
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +71,13 @@ _BITMAP_WORDS = 32
 
 #: Capacity limit of SlabAlloc-light: a single contiguous array under 4 GB.
 LIGHT_CAPACITY_BYTES = 4 * 1024**3
+
+
+def _fields(addresses: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized, unchecked :func:`~repro.core.address.decode_address` of int64 addresses."""
+    units = addresses & ((1 << addr.UNIT_BITS) - 1)
+    blocks = (addresses >> addr.UNIT_BITS) & ((1 << addr.BLOCK_BITS) - 1)
+    return addresses >> (addr.UNIT_BITS + addr.BLOCK_BITS), blocks, units
 
 
 @dataclass
@@ -99,8 +106,9 @@ class SlabAlloc:
         Seed mixed into the resident-block hash functions.
     light:
         ``True`` selects SlabAlloc-light: one contiguous pool of at most 4 GB
-        (larger configs raise ``ValueError`` before anything is mapped), so an
-        address decode needs no shared-memory read.
+        (larger configs raise ``ValueError`` before anything is mapped, and
+        growth stops at the bound), so an address decode needs no
+        shared-memory read.
     """
 
     def __init__(
@@ -128,8 +136,10 @@ class SlabAlloc:
 
         #: Current number of super blocks (grows up to config.max_super_blocks).
         self.num_super_blocks = 0
-        #: Bitmap storage, one (num_memory_blocks, 32) array per super block.
-        self._bitmaps: List[np.ndarray] = []
+        #: Bitmap storage, ``(num_super_blocks, num_memory_blocks, 32)`` words.
+        #: Growth replaces it with a larger copy, so callers index it afresh
+        #: rather than hold a view.
+        self._bitmap = self._new_bitmap(0)
         #: The slab arena: unit storage for every super block, stored
         #: contiguously in one anonymous no-huge-page mapping per growth step
         #: (see _add_super_blocks), so physical memory follows the slabs
@@ -183,8 +193,9 @@ class SlabAlloc:
             cached_word = int(state.cached_bitmap[lane])
             bit = first_set_lane(~cached_word & _FULL_WORD)
             unit = lane * 32 + bit
-            bitmap_store = self._bitmaps[state.super_block]
-            old = self.mem.atomic_or32(bitmap_store, (state.block, lane), 1 << bit)
+            old = self.mem.atomic_or32(
+                self._bitmap, (state.super_block, state.block, lane), 1 << bit
+            )
             state.cached_bitmap[lane] = np.uint32(old | (1 << bit))
             if old & (1 << bit):
                 # Another warp claimed this unit since our last bitmap read;
@@ -204,14 +215,35 @@ class SlabAlloc:
             store[row] = C.EMPTY_KEY
             return addr.make_address(state.super_block, state.block, unit)
 
-    def deallocate(self, warp: Warp, address: int) -> None:
-        """Return a memory unit to the allocator (atomically clears its bitmap bit)."""
+    def deallocate(self, warp: Warp, address: Union[int, np.ndarray]) -> None:
+        """Return memory units to the allocator (atomically clears their bitmap bits).
+
+        ``address`` is one slab address or an array of them.  An array is
+        released in one vectorized pass that leaves every device counter,
+        bitmap word, arena word and resident cached bitmap exactly as
+        releasing the addresses one by one, in order, would: per unit
+        ``DEALLOC_INSTRUCTIONS``, one ``atomic_and32``, the recycle write of a
+        slab that is not already empty, and the invalidation of resident
+        cached bitmaps.  An invalid or out-of-range address, or a double free
+        (also of an address repeated in the array), raises as the scalar
+        call does, after the units before it are released.
+        """
+        if np.ndim(address):
+            addresses = np.asarray(address, dtype=np.int64)
+            bad = self._first_unreleasable(addresses)
+            self._release_units(warp, addresses[:bad])
+            if bad == len(addresses):
+                return
+            # The scalar path below raises for it, with the loop's charges.
+            address = addresses[bad]
+        address = int(address)
         super_block, block, unit = addr.decode_address(address)
         self._check_bounds(super_block, block, unit)
         warp.charge(C.DEALLOC_INSTRUCTIONS)
         lane, bit = divmod(unit, 32)
-        bitmap_store = self._bitmaps[super_block]
-        old = self.mem.atomic_and32(bitmap_store, (block, lane), _FULL_WORD ^ (1 << bit))
+        old = self.mem.atomic_and32(
+            self._bitmap, (super_block, block, lane), _FULL_WORD ^ (1 << bit)
+        )
         if not old & (1 << bit):
             raise AllocationError(
                 f"double free of slab address 0x{address:08X} (unit was not allocated)"
@@ -224,14 +256,7 @@ class SlabAlloc:
         if np.any(store[row] != C.EMPTY_KEY):
             self.mem.write_slab(store, row, np.full(self.slab_words, C.EMPTY_KEY, np.uint32))
 
-        # Invalidate any stale register caches of this word held by warps
-        # resident in the same block (they would refresh on their next failed
-        # atomic anyway; clearing here keeps the simulation conservative).
-        residents = self._residents_by_block.get((super_block, block))
-        if residents:
-            clear = np.uint32(~(1 << bit) & _FULL_WORD)
-            for resident in residents.values():
-                resident.cached_bitmap[lane] &= clear
+        self._invalidate_residents(super_block, block, lane, bit)
 
     def slab_view(self, address: int) -> Tuple[np.ndarray, int]:
         """Return ``(unit_store, row)`` such that ``unit_store[row]`` is the slab's words.
@@ -300,7 +325,7 @@ class SlabAlloc:
         super_block, block, unit = addr.decode_address(address)
         self._check_bounds(super_block, block, unit)
         lane, bit = divmod(unit, 32)
-        return bool(int(self._bitmaps[super_block][block, lane]) & (1 << bit))
+        return bool(int(self._bitmap[super_block, block, lane]) & (1 << bit))
 
     # ------------------------------------------------------------------ #
     # State export / restore (snapshot hooks, see repro.persist.snapshot)
@@ -320,7 +345,7 @@ class SlabAlloc:
         # past units_per_block are _new_bitmap's permanently set tail
         # padding, not real units.  Row-major order over (super block,
         # block, word, bit) is address order.
-        bitmaps = np.stack(self._bitmaps)[:, :, : self.config.units_per_block // 32]
+        bitmaps = self._bitmap[:, :, : self.config.units_per_block // 32]
         supers, blocks, lanes = np.nonzero(bitmaps)
         set_bits = (bitmaps[supers, blocks, lanes, None] >> np.arange(32, dtype=np.uint32)) & 1
         word, bits = np.nonzero(set_bits)
@@ -376,19 +401,13 @@ class SlabAlloc:
             raise AllocationError("restore_units: duplicate addresses in input")
         # Vectorized mirror of export_units: scatter the slab words into the
         # arena (which rejects any address outside the pool), then set the
-        # bitmap bits per super block.
+        # bitmap bits.
         self.write_slabs(addresses, words)
-        units = addresses & ((1 << addr.UNIT_BITS) - 1)
-        blocks = (addresses >> addr.UNIT_BITS) & ((1 << addr.BLOCK_BITS) - 1)
-        supers = addresses >> (addr.UNIT_BITS + addr.BLOCK_BITS)
+        supers, blocks, units = _fields(addresses)
         lanes, bits = np.divmod(units, 32)
-        for super_block in np.unique(supers):
-            mask = supers == super_block
-            np.bitwise_or.at(
-                self._bitmaps[int(super_block)],
-                (blocks[mask], lanes[mask]),
-                (np.uint32(1) << bits[mask].astype(np.uint32)),
-            )
+        np.bitwise_or.at(
+            self._bitmap, (supers, blocks, lanes), np.uint32(1) << bits.astype(np.uint32)
+        )
         self._allocated_units = len(addresses)
 
     # ------------------------------------------------------------------ #
@@ -421,12 +440,15 @@ class SlabAlloc:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _new_bitmap(self) -> np.ndarray:
-        bitmap = np.zeros((self.config.num_memory_blocks, _BITMAP_WORDS), dtype=np.uint32)
+    def _new_bitmap(self, count: int) -> np.ndarray:
+        """Bitmap words of ``count`` fresh super blocks."""
+        bitmap = np.zeros(
+            (count, self.config.num_memory_blocks, _BITMAP_WORDS), dtype=np.uint32
+        )
         usable_words = self.config.units_per_block // 32
         if usable_words < _BITMAP_WORDS:
             # Mark the non-existent tail units as permanently allocated.
-            bitmap[:, usable_words:] = _FULL_WORD
+            bitmap[:, :, usable_words:] = _FULL_WORD
         return bitmap
 
     def _add_super_blocks(self, count: int) -> None:
@@ -452,7 +474,13 @@ class SlabAlloc:
         self._arena.append(
             np.frombuffer(mapping, dtype=np.uint32).reshape(rows, self.slab_words)
         )
-        self._bitmaps.extend(self._new_bitmap() for _ in range(count))
+        bitmap = self._new_bitmap(count)
+        if self.num_super_blocks:
+            # Growth copies the bitmaps.  The constructor's are used as
+            # allocated, so their zero pages are touched only as warps read
+            # and claim them.
+            bitmap = np.concatenate([self._bitmap, bitmap])
+        self._bitmap = bitmap
         self.num_super_blocks += count
 
     def _location(self, super_block: int, block: int, unit: int) -> Tuple[np.ndarray, int]:
@@ -469,9 +497,7 @@ class SlabAlloc:
         Raises :class:`AllocationError` for an address outside the pool.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
-        units = addresses & ((1 << addr.UNIT_BITS) - 1)
-        blocks = (addresses >> addr.UNIT_BITS) & ((1 << addr.BLOCK_BITS) - 1)
-        supers = addresses >> (addr.UNIT_BITS + addr.BLOCK_BITS)
+        supers, blocks, units = _fields(addresses)
         if addresses.size and (
             int(addresses.min()) < 0
             or int(supers.max()) >= self.num_super_blocks
@@ -487,6 +513,68 @@ class SlabAlloc:
         segments = np.searchsorted(first, supers, side="right") - 1
         rows -= first[segments] * self.config.units_per_super_block
         return segments, rows
+
+    def _first_unreleasable(self, addresses: np.ndarray) -> int:
+        """Index of the first address the scalar :meth:`deallocate` would reject.
+
+        That is the first that is not a valid address, lies outside the pool,
+        is not allocated, or repeats an earlier address of the array;
+        ``len(addresses)`` when there is none.
+        """
+        supers, blocks, units = _fields(addresses)
+        ok = (
+            (addresses >= 0)
+            & (supers < self.num_super_blocks)
+            & (blocks < self.config.num_memory_blocks)
+            & (units < self.config.units_per_block)
+        )
+        for sentinel in (C.EMPTY_POINTER, C.BASE_SLAB, C.DELETED_KEY):
+            ok &= addresses != sentinel
+        repeated = np.ones(len(addresses), dtype=bool)
+        repeated[np.unique(addresses, return_index=True)[1]] = False
+        ok &= ~repeated
+        chosen = np.flatnonzero(ok)
+        words = self._bitmap[supers[chosen], blocks[chosen], units[chosen] // 32]
+        ok[chosen] = ((words >> (units[chosen] % 32).astype(np.uint32)) & 1).astype(bool)
+        return int(np.argmin(ok)) if not ok.all() else len(addresses)
+
+    def _release_units(self, warp: Warp, addresses: np.ndarray) -> None:
+        """:meth:`deallocate` of distinct, allocated in-pool ``addresses``, vectorized."""
+        count = len(addresses)
+        if not count:
+            return
+        warp.charge(C.DEALLOC_INSTRUCTIONS * count)
+        counters = self.device.counters
+        counters.atomic32 += count
+        counters.deallocations += count
+        self._allocated_units -= count
+
+        supers, blocks, units = _fields(addresses)
+        lanes, bits = np.divmod(units, 32)
+        np.bitwise_and.at(
+            self._bitmap, (supers, blocks, lanes), ~(np.uint32(1) << bits.astype(np.uint32))
+        )
+
+        # Recycle the units that are not already empty slabs.
+        dirty = addresses[(self.read_slabs(addresses) != C.EMPTY_KEY).any(axis=1)]
+        if len(dirty):
+            counters.coalesced_write_transactions += len(dirty)
+            self.write_slabs(dirty, np.full((len(dirty), self.slab_words), C.EMPTY_KEY, np.uint32))
+
+        for unit in zip(supers.tolist(), blocks.tolist(), lanes.tolist(), bits.tolist()):
+            self._invalidate_residents(*unit)
+
+    def _invalidate_residents(self, super_block: int, block: int, lane: int, bit: int) -> None:
+        """Clear a freed unit's bit in the cached bitmaps of its block's residents.
+
+        Warps resident in the block would refresh a stale word on their next
+        failed atomic anyway; clearing here keeps the simulation conservative.
+        """
+        residents = self._residents_by_block.get((super_block, block))
+        if residents:
+            clear = np.uint32(~(1 << bit) & _FULL_WORD)
+            for resident in residents.values():
+                resident.cached_bitmap[lane] &= clear
 
     def _check_bounds(self, super_block: int, block: int, unit: int) -> None:
         if super_block >= self.num_super_blocks:
@@ -519,7 +607,7 @@ class SlabAlloc:
             warp.warp_id, attempt, self.config.num_memory_blocks, seed=self.seed + 1
         )
         # Reading the new resident block's bitmaps is one coalesced access.
-        cached = self.mem.read_slab(self._bitmaps[super_block], block)
+        cached = self.mem.read_slab(self._bitmap[super_block], block)
         return ResidentBlock(super_block=super_block, block=block, cached_bitmap=cached, attempt=attempt)
 
     def _change_resident(self, warp: Warp, state: ResidentBlock) -> ResidentBlock:
@@ -541,13 +629,19 @@ class SlabAlloc:
         return new_state
 
     def _grow(self) -> None:
-        """Add super blocks (the paper's growth path), if addressing and the host allow it."""
-        if self.num_super_blocks >= self.config.max_super_blocks:
+        """Add super blocks (the paper's growth path), if addressing and the host allow it.
+
+        A SlabAlloc-light pool also stops at its 4 GB bound, so a full light
+        pool reports exhaustion rather than outgrowing one contiguous array.
+        """
+        limit = self.config.max_super_blocks
+        if self.light:
+            super_block_bytes = self.config.units_per_super_block * 4 * self.slab_words
+            limit = min(limit, LIGHT_CAPACITY_BYTES // super_block_bytes)
+        if self.num_super_blocks >= limit:
             return
         try:
-            self._add_super_blocks(
-                min(self.num_super_blocks, self.config.max_super_blocks - self.num_super_blocks)
-            )
+            self._add_super_blocks(min(self.num_super_blocks, limit - self.num_super_blocks))
         except OSError:
             # The host refused to reserve the new segment (ENOMEM under its
             # overcommit policy): the pool keeps its size, as at the

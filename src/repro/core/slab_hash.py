@@ -557,13 +557,15 @@ class SlabHash:
     def maybe_resize(self, *, max_steps: int = 8) -> List[ResizeResult]:
         """Pump the in-flight migration and/or apply the load-factor policy.
 
-        With a migration in flight, up to ``max_steps`` incremental steps
-        are advanced (policy decisions stay suppressed until it completes).
-        Otherwise each step asks :meth:`LoadFactorPolicy.decide
+        With a migration in flight, the call advances it by one step (one
+        band of ``step_buckets`` buckets, one kernel launch) and returns,
+        unless that step completes it; policy decisions stay suppressed
+        until then.  Otherwise each of up to ``max_steps`` steps asks
+        :meth:`LoadFactorPolicy.decide
         <repro.core.resize.LoadFactorPolicy.decide>` for a bucket count and
         performs that resize — as a stop-the-world rebuild, or, under an
-        ``incremental`` policy, by beginning a migration that the remaining
-        step budget (and later calls) pumps.  Returns the *completed*
+        ``incremental`` policy, by beginning a migration whose first band
+        this call moves and later calls pump.  Returns the *completed*
         resizes; ``[]`` when quiescent or when a begun migration has not
         finished yet.
         """
@@ -573,8 +575,9 @@ class SlabHash:
             if self.migration is not None:
                 outcome = self.migrate_step()
                 steps += 1
-                if outcome.result is not None:
-                    results.append(outcome.result)
+                if outcome.result is None:
+                    break  # one band per call
+                results.append(outcome.result)
                 continue
             if self.policy is None:
                 break

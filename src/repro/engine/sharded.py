@@ -379,7 +379,7 @@ class ShardedSlabHash:
         """Pump each shard's migration / load-factor policy (see SlabHash).
 
         Shards are pumped independently: a shard mid-migration advances by
-        a bounded number of steps while its neighbours follow their own
+        one band while its neighbours follow their own
         policies, so one shard's long migration never delays another's.
         """
         results: List[ResizeResult] = []

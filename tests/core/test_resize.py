@@ -9,6 +9,8 @@ hysteresis rules of :class:`LoadFactorPolicy` holding at the boundaries.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.core.slab_hash import SlabHash
 from repro.faults.plan import FaultAction, FaultPlan, InjectedMigrationFailure
 from repro.gpusim.device import Device
 from repro.gpusim.errors import AllocationError
+from repro.persist import save
 
 from tests.conftest import make_keys
 
@@ -239,6 +242,66 @@ class TestPumpEntersTheKernel:
         assert calls["ops"] == [[C.OP_INSERT], [C.OP_DELETE]]
         assert table.migration.watermark == 0
         assert table.migration.new_lists.live_item_count() == 0
+
+
+class TestPumpUnit:
+    """A pump call moves one band: one migration step and one kernel launch."""
+
+    @staticmethod
+    def migrating(backend):
+        """A deferred incremental table at the default band, one band into a grow."""
+        policy = LoadFactorPolicy(incremental=True).deferred()
+        table = SlabHash(150, alloc_config=ALLOC, seed=17, backend=backend, policy=policy)
+        keys = make_keys(2700, seed=17)  # beta 1.2: over the band
+        table.bulk_insert(keys, keys)
+        assert table.migration is None
+        assert table.maybe_resize() == []  # begins the grow and moves its first band
+        assert table.migration.step_buckets == policy.migration_step_buckets == 64
+        assert table.migration.watermark == 64
+        return table, keys
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_each_call_makes_one_step_with_one_launch(self, backend):
+        table, _ = self.migrating(backend)
+        old_buckets = table.migration.old_buckets
+        watermark = table.migration.watermark
+        results = []
+        while table.migration is not None:
+            steps = table.resize_stats.migration_steps
+            buckets = table.resize_stats.migration_buckets
+            launches = table.device.counters.kernel_launches
+            results += table.maybe_resize()
+            band = min(64, old_buckets - watermark)
+            watermark += band
+            assert table.resize_stats.migration_steps == steps + 1
+            assert table.resize_stats.migration_buckets == buckets + band
+            assert table.device.counters.kernel_launches == launches + 1
+            if table.migration is not None:
+                assert table.migration.watermark == watermark
+        assert watermark == old_buckets == 150
+        assert [(r.trigger, r.new_buckets) for r in results] == [("policy", table.num_buckets)]
+        assert table.maybe_resize() == []  # policy-quiescent: no further step
+
+    def test_backends_agree_over_a_policy_driven_migration(self, tmp_path):
+        runs = {}
+        for backend in ("reference", "vectorized"):
+            table, keys = self.migrating(backend)
+            results = []
+            while table.migration is not None:
+                results += table.maybe_resize()
+            path = save(table, str(tmp_path / f"{backend}.npz"))
+            with np.load(path) as archive:
+                header = json.loads(str(archive["header"]))
+                assert header.pop("backend") == backend  # the one intended difference
+                arrays = {name: archive[name].tobytes() for name in archive.files}
+            arrays["header"] = json.dumps(header, sort_keys=True).encode()
+            runs[backend] = (
+                table.bulk_search(keys).tolist(),
+                table.device.counters.as_dict(),
+                [result.counters.as_dict() for result in results],
+                arrays,
+            )
+        assert runs["reference"] == runs["vectorized"]
 
 
 class TestGatherBand:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import constants as C
+from repro.core import slab_alloc
 from repro.core.address import decode_address, make_address
 from repro.core.config import SlabAllocConfig
 from repro.core.slab_alloc import SlabAlloc
@@ -165,6 +166,79 @@ class TestDeallocation:
         assert max(sharing.values()) > 1
 
 
+def _release_state(device, alloc):
+    """Everything a release may touch: counters, bitmaps, arena, residents, units."""
+    return (
+        device.counters.as_dict(),
+        alloc._bitmap.tobytes(),
+        [segment.tobytes() for segment in alloc._arena],
+        {warp_id: r.cached_bitmap.tobytes() for warp_id, r in alloc._resident.items()},
+        alloc._allocated_units,
+    )
+
+
+@pytest.mark.parametrize("light", [False, True])
+class TestArrayDeallocate:
+    """An array ``deallocate`` leaves the state the per-address loop leaves."""
+
+    @staticmethod
+    def populated(light):
+        """A grown pool whose blocks host several warps; every third slab is written."""
+        config = SlabAllocConfig(1, 4, 64, growth_threshold=2, max_super_blocks=8)
+        device = Device()
+        alloc = SlabAlloc(device, config, seed=7, light=light)
+        warps = [Warp(i, device.counters) for i in range(24)]
+        addresses = [alloc.warp_allocate(warps[i % len(warps)]) for i in range(400)]
+        written = np.array(addresses[::3], dtype=np.int64)
+        alloc.write_slabs(written, np.arange(len(written) * C.SLAB_WORDS, dtype=np.uint32)
+                          .reshape(len(written), C.SLAB_WORDS))
+        order = np.random.default_rng(5).permutation(len(addresses))
+        return device, alloc, warps[3], np.array(addresses, dtype=np.int64)[order]
+
+    def test_release_equals_the_loop(self, light):
+        device, alloc, warp, addresses = self.populated(light)
+        twin_device, twin, twin_warp, _ = self.populated(light)
+        assert len(alloc._arena) > 1
+        assert max(len(group) for group in alloc._residents_by_block.values()) > 1
+        freed = addresses[:250]
+        for address in freed.tolist():
+            twin.deallocate(twin_warp, address)
+        alloc.deallocate(warp, freed)
+        assert _release_state(device, alloc) == _release_state(twin_device, twin)
+        assert device.counters.deallocations == 250
+        assert not any(alloc.is_allocated(address) for address in freed.tolist())
+
+    def test_empty_slabs_get_no_recycle_write(self, light):
+        device, alloc, warp, addresses = self.populated(light)
+        dirty = int((alloc.read_slabs(addresses[:40]) != C.EMPTY_KEY).any(axis=1).sum())
+        assert 0 < dirty < 40
+        before = device.counters.coalesced_write_transactions
+        alloc.deallocate(warp, addresses[:40])
+        assert device.counters.coalesced_write_transactions - before == dirty
+        assert (alloc.read_slabs(addresses[:40]) == C.EMPTY_KEY).all()
+
+    @pytest.mark.parametrize("bad", ["repeat", "freed", "out_of_range"])
+    def test_rejected_address_raises_after_the_units_before_it(self, light, bad):
+        device, alloc, warp, addresses = self.populated(light)
+        twin_device, twin, twin_warp, _ = self.populated(light)
+        if bad == "freed":
+            for pool, pool_warp in ((alloc, warp), (twin, twin_warp)):
+                pool.deallocate(pool_warp, int(addresses[-1]))
+        rejected = {
+            "repeat": int(addresses[2]),
+            "freed": int(addresses[-1]),
+            "out_of_range": make_address(alloc.num_super_blocks, 0, 0),
+        }[bad]
+        batch = np.array([*addresses[:5], rejected, *addresses[5:9]], dtype=np.int64)
+        with pytest.raises(AllocationError):
+            for address in batch.tolist():
+                twin.deallocate(twin_warp, address)
+        with pytest.raises(AllocationError):
+            alloc.deallocate(warp, batch)
+        assert _release_state(device, alloc) == _release_state(twin_device, twin)
+        assert all(alloc.is_allocated(address) for address in addresses[5:9].tolist())
+
+
 class TestResidentChangesAndGrowth:
     def test_filling_a_block_triggers_resident_change(self):
         device, alloc = make_alloc(ns=1, nm=2, nu=64)
@@ -292,6 +366,24 @@ class TestSlabAllocLight:
         warp = Warp(0, device.counters)
         addresses = [light.warp_allocate(warp) for _ in range(50)]
         assert len(set(addresses)) == 50
+
+    def test_light_pool_growth_stops_at_the_bound(self, monkeypatch):
+        # A super block of this config is 32 units of 128 bytes; a bound of
+        # three of them caps _grow's doubling steps 1 -> 2 -> 3.
+        monkeypatch.setattr(slab_alloc, "LIGHT_CAPACITY_BYTES", 3 * 32 * 128)
+        config = SlabAllocConfig(1, 1, 32, growth_threshold=2, max_super_blocks=8)
+        device = Device()
+        light = SlabAlloc(device, config, seed=1, light=True)
+        warp = Warp(0, device.counters)
+        addresses = [light.warp_allocate(warp) for _ in range(96)]
+        with pytest.raises(SlabAllocExhausted):
+            light.warp_allocate(warp)
+        assert light.num_super_blocks == 3 and len(set(addresses)) == 96
+        assert light.capacity_bytes == slab_alloc.LIGHT_CAPACITY_BYTES
+        regular = SlabAlloc(Device(), config, seed=1)
+        for _ in range(97):
+            regular.warp_allocate(warp)
+        assert regular.num_super_blocks > 3
 
     def test_slab_hash_light_flag_reaches_the_allocator(self):
         table = SlabHash(4, light_alloc=True, alloc_config=SlabAllocConfig(2, 8, 64))

@@ -2,8 +2,9 @@
 
 Under churn a deferred stop-the-world policy makes some batch wait out a
 *full rebuild* — a pause that grows with the table.  The incremental policy
-advances at most ``max_steps * migration_step_buckets`` buckets per pause,
-so no operation's latency ever includes a rebuild.  Both runs are measured
+advances one band of ``migration_step_buckets`` buckets per pause (a
+``maybe_resize`` call makes one migration step), so no operation's latency
+ever includes a rebuild.  Both runs are measured
 in modelled device seconds (deterministic — no wall clock), by timing each
 ``maybe_resize`` pump exactly the way the engine times its own kernels: a
 device-counter snapshot around the call priced through
