@@ -355,8 +355,7 @@ def begin_migration(
         table.resize_stats.note(result)
         return result
     if step_buckets is None:
-        policy = table.policy
-        step_buckets = policy.migration_step_buckets if policy is not None else 8
+        step_buckets = (table.policy or LoadFactorPolicy()).migration_step_buckets
     if step_buckets < 1:
         raise ValueError(f"step_buckets must be at least 1, got {step_buckets}")
     table.migration = MigrationState(

@@ -9,10 +9,12 @@ bitmap words — exactly one word per warp lane, so a warp can cache its
 
 Allocation protocol (warp-cooperative):
 
-1. Every warp owns a resident memory block, chosen by hashing
+1. Every warp of a kernel owns a resident memory block, chosen by hashing
    ``(global warp id, resident-change attempt)`` into a (super block, memory
    block) pair; the warp reads the block's 32 bitmap words with a single
-   coalesced access and caches them in registers.
+   coalesced access and caches them in registers.  Registers live as long
+   as the kernel: the allocator forgets every resident when the device
+   launches the next kernel (whose warps have fresh ids).
 2. On an allocation request, lanes inspect their cached bitmap word, announce
    free units with a ballot, and the first lane with a free unit attempts to
    claim it by atomically OR-ing the corresponding bit into the *global*
@@ -26,9 +28,11 @@ Allocation protocol (warp-cooperative):
    allocator adds super blocks (up to the 8-bit addressing limit) and the hash
    range grows accordingly.
 
-Deallocation atomically clears the unit's bit (and, in this simulation,
-re-initializes the unit's words to ``EMPTY_KEY`` so a recycled slab reads as
-empty, which the CUDA implementation achieves by memsetting pools).
+Deallocation atomically clears the unit's bit in the *global* bitmap (and, in
+this simulation, re-initializes the unit's words to ``EMPTY_KEY`` so a
+recycled slab reads as empty, which the CUDA implementation achieves by
+memsetting pools).  It touches no warp's cached bitmap: a warp resident in
+the freed unit's block sees the free when it next reads the block's words.
 
 Addresses are the 32-bit layouts of :mod:`repro.core.address`.  The regular
 allocator stores each super block's 64-bit base pointer in shared memory, so
@@ -151,12 +155,11 @@ class SlabAlloc:
         #: while another warp's allocation may grow the pool.
         self._arena: List[np.ndarray] = []
         self._segment_first: List[int] = []
-        #: Per-warp resident blocks.
+        #: Resident blocks of the warps of the current kernel, by warp id.
         self._resident: Dict[int, ResidentBlock] = {}
-        #: The same residents grouped by ``(super_block, block)`` (each group
-        #: maps warp id -> resident), so a free visits only the warps resident
-        #: in the freed unit's block.
-        self._residents_by_block: Dict[Tuple[int, int], Dict[int, ResidentBlock]] = {}
+        #: The device's ``kernel_launches`` count when ``_resident`` was last
+        #: used; a different count means a new kernel, so the map is cleared.
+        self._resident_launch = -1
         #: Number of currently allocated units (host-side bookkeeping).
         self._allocated_units = 0
         #: Optional fault hook (a :class:`repro.faults.FaultPlan` or scoped
@@ -218,45 +221,29 @@ class SlabAlloc:
     def deallocate(self, warp: Warp, address: Union[int, np.ndarray]) -> None:
         """Return memory units to the allocator (atomically clears their bitmap bits).
 
-        ``address`` is one slab address or an array of them.  An array is
-        released in one vectorized pass that leaves every device counter,
-        bitmap word, arena word and resident cached bitmap exactly as
-        releasing the addresses one by one, in order, would: per unit
-        ``DEALLOC_INSTRUCTIONS``, one ``atomic_and32``, the recycle write of a
-        slab that is not already empty, and the invalidation of resident
-        cached bitmaps.  An invalid or out-of-range address, or a double free
-        (also of an address repeated in the array), raises as the scalar
-        call does, after the units before it are released.
+        ``address`` is one slab address or an array of them, released in
+        order in one vectorized pass: per unit ``DEALLOC_INSTRUCTIONS``, one
+        ``atomic_and32`` and the recycle write of a slab that is not already
+        empty.  No warp's cached bitmap changes.  An invalid or out-of-range
+        address, or a double free (also of an address repeated in the
+        array), raises after the units before it are released.
         """
-        if np.ndim(address):
-            addresses = np.asarray(address, dtype=np.int64)
-            bad = self._first_unreleasable(addresses)
-            self._release_units(warp, addresses[:bad])
-            if bad == len(addresses):
-                return
-            # The scalar path below raises for it, with the loop's charges.
-            address = addresses[bad]
-        address = int(address)
-        super_block, block, unit = addr.decode_address(address)
+        addresses = np.atleast_1d(np.asarray(address, dtype=np.int64))
+        bad = self._first_unreleasable(addresses)
+        self._release_units(warp, addresses[:bad])
+        if bad == len(addresses):
+            return
+        rejected = int(addresses[bad])
+        super_block, block, unit = addr.decode_address(rejected)
         self._check_bounds(super_block, block, unit)
+        # An in-pool address is rejected only when its bit is already clear:
+        # the atomic is charged, and it finds nothing to free.
         warp.charge(C.DEALLOC_INSTRUCTIONS)
         lane, bit = divmod(unit, 32)
-        old = self.mem.atomic_and32(
-            self._bitmap, (super_block, block, lane), _FULL_WORD ^ (1 << bit)
+        self.mem.atomic_and32(self._bitmap, (super_block, block, lane), _FULL_WORD ^ (1 << bit))
+        raise AllocationError(
+            f"double free of slab address 0x{rejected:08X} (unit was not allocated)"
         )
-        if not old & (1 << bit):
-            raise AllocationError(
-                f"double free of slab address 0x{address:08X} (unit was not allocated)"
-            )
-        self.device.counters.deallocations += 1
-        self._allocated_units -= 1
-
-        # Recycle the unit as an empty slab (the CUDA code memsets pools).
-        store, row = self._location(super_block, block, unit)
-        if np.any(store[row] != C.EMPTY_KEY):
-            self.mem.write_slab(store, row, np.full(self.slab_words, C.EMPTY_KEY, np.uint32))
-
-        self._invalidate_residents(super_block, block, lane, bit)
 
     def slab_view(self, address: int) -> Tuple[np.ndarray, int]:
         """Return ``(unit_store, row)`` such that ``unit_store[row]`` is the slab's words.
@@ -515,7 +502,7 @@ class SlabAlloc:
         return segments, rows
 
     def _first_unreleasable(self, addresses: np.ndarray) -> int:
-        """Index of the first address the scalar :meth:`deallocate` would reject.
+        """Index of the first address :meth:`deallocate` rejects.
 
         That is the first that is not a valid address, lies outside the pool,
         is not allocated, or repeats an earlier address of the array;
@@ -561,21 +548,6 @@ class SlabAlloc:
             counters.coalesced_write_transactions += len(dirty)
             self.write_slabs(dirty, np.full((len(dirty), self.slab_words), C.EMPTY_KEY, np.uint32))
 
-        for unit in zip(supers.tolist(), blocks.tolist(), lanes.tolist(), bits.tolist()):
-            self._invalidate_residents(*unit)
-
-    def _invalidate_residents(self, super_block: int, block: int, lane: int, bit: int) -> None:
-        """Clear a freed unit's bit in the cached bitmaps of its block's residents.
-
-        Warps resident in the block would refresh a stale word on their next
-        failed atomic anyway; clearing here keeps the simulation conservative.
-        """
-        residents = self._residents_by_block.get((super_block, block))
-        if residents:
-            clear = np.uint32(~(1 << bit) & _FULL_WORD)
-            for resident in residents.values():
-                resident.cached_bitmap[lane] &= clear
-
     def _check_bounds(self, super_block: int, block: int, unit: int) -> None:
         if super_block >= self.num_super_blocks:
             raise AllocationError(f"super block {super_block} does not exist")
@@ -585,21 +557,16 @@ class SlabAlloc:
             raise AllocationError(f"memory unit {unit} does not exist")
 
     def _resident_state(self, warp: Warp) -> ResidentBlock:
+        launch = self.device.counters.kernel_launches
+        if launch != self._resident_launch:
+            # A new kernel: the previous kernel's warps and registers are gone.
+            self._resident.clear()
+            self._resident_launch = launch
         state = self._resident.get(warp.warp_id)
         if state is None:
             state = self._assign_resident(warp, attempt=0)
-            self._set_resident(warp.warp_id, state)
+            self._resident[warp.warp_id] = state
         return state
-
-    def _set_resident(self, warp_id: int, state: ResidentBlock) -> None:
-        """Make ``state`` the warp's resident block in both resident indexes."""
-        old = self._resident.get(warp_id)
-        if old is not None:
-            del self._residents_by_block[(old.super_block, old.block)][warp_id]
-        self._resident[warp_id] = state
-        self._residents_by_block.setdefault((state.super_block, state.block), {})[
-            warp_id
-        ] = state
 
     def _assign_resident(self, warp: Warp, attempt: int) -> ResidentBlock:
         super_block = hash_pair(warp.warp_id, attempt, self.num_super_blocks, seed=self.seed)
@@ -625,7 +592,7 @@ class SlabAlloc:
             )
         new_state = self._assign_resident(warp, attempt=state.attempt + 1)
         new_state.changes_this_request = changes
-        self._set_resident(warp.warp_id, new_state)
+        self._resident[warp.warp_id] = new_state
         return new_state
 
     def _grow(self) -> None:

@@ -385,11 +385,12 @@ class SlabHashService:
         self._restore_failure_log: List[str] = []
         self._checkpoint_path: Optional[str] = None
         # Exactly-once across recovery: indices of logged-then-rejected
-        # batches (injected failures), and the subset whose durable abort
-        # marker has not landed yet (the marker append itself failed).
+        # batches (injected failures) above the last checkpoint's floor, and
+        # the subset whose durable abort marker has not landed yet (the
+        # marker append itself failed).
         self._aborted_indices: Set[int] = set()
         self._unlogged_aborts: Set[int] = set()
-        self._aborts_logged = 0
+        self._batches_aborted = 0
         self._wal_rollbacks = 0
         if faults is not None:
             for index, table in enumerate(self._shards):
@@ -842,12 +843,12 @@ class SlabHashService:
 
     def _abort_batch_record(self, batch_index: int) -> None:
         """Durably mark a logged batch as aborted so recovery skips it."""
+        self._batches_aborted += 1
         self._aborted_indices.add(batch_index)
         if self.wal is None:
             return
         try:
             self.wal.append_abort(batch_index)
-            self._aborts_logged += 1
         except Exception:  # noqa: BLE001 - retried at restore/stop time
             self._unlogged_aborts.add(batch_index)
 
@@ -858,7 +859,6 @@ class SlabHashService:
         for batch_index in sorted(self._unlogged_aborts):
             try:
                 self.wal.append_abort(batch_index)
-                self._aborts_logged += 1
                 self._unlogged_aborts.discard(batch_index)
             except Exception:  # noqa: BLE001 - still unlogged; keep for later
                 pass
@@ -1035,12 +1035,16 @@ class SlabHashService:
                     "(restore in progress); retry after it half-opens"
                 )
 
-        _save(self.engine, snapshot_path, wal_min_batch_index=self._batch_index)
+        floor = self._batch_index
+        _save(self.engine, snapshot_path, wal_min_batch_index=floor)
         if self.wal is not None:
             self.wal.truncate()
-        # The quarantine-restore path rebuilds shards from here; batches the
-        # truncation discarded are also no longer abortable-by-marker.
+        # The quarantine-restore path rebuilds shards from here.  Recovery
+        # skips every record below the floor, so the aborts below it need
+        # neither a marker nor a place in memory.
         self._checkpoint_path = snapshot_path
+        self._aborted_indices = {index for index in self._aborted_indices if index >= floor}
+        self._unlogged_aborts = {index for index in self._unlogged_aborts if index >= floor}
         return snapshot_path
 
     @classmethod
@@ -1177,7 +1181,7 @@ class SlabHashService:
             breaker_trips=sum(lane.trips for lane in lanes),
             shard_restores=sum(lane.restores for lane in lanes),
             wal_rollbacks=self._wal_rollbacks,
-            batches_aborted=len(self._aborted_indices),
+            batches_aborted=self._batches_aborted,
             restore_failures=tuple(self._restore_failure_log),
         )
 

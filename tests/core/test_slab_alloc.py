@@ -17,6 +17,7 @@ from repro.core import constants as C
 from repro.core import slab_alloc
 from repro.core.address import decode_address, make_address
 from repro.core.config import SlabAllocConfig
+from repro.core.resize import LoadFactorPolicy
 from repro.core.slab_alloc import SlabAlloc
 from repro.core.slab_hash import SlabHash
 from repro.gpusim.device import Device
@@ -135,35 +136,23 @@ class TestDeallocation:
         with pytest.raises(AllocationError):
             alloc.deallocate(warp, 5)  # unit 5 of block 0 was never allocated
 
-    def test_deallocate_matches_full_resident_scan(self):
-        """Per-block resident index: every cached bitmap equals a scan of all warps."""
+    def test_free_leaves_cached_bitmaps_untouched(self):
+        """A free clears the global bit only; no warp's registers change."""
         device, alloc = make_alloc(ns=1, nm=4, nu=64, seed=11)
-        rng = np.random.default_rng(13)
-        warps = [Warp(i, device.counters) for i in range(48)]
-        live = []
-        for step in range(600):
-            if live and (len(live) > 230 or rng.random() < 0.3):
-                address = live.pop(int(rng.integers(len(live))))
-                super_block, block, unit = decode_address(address)
-                lane, bit = divmod(unit, 32)
-                # What the full scan over every resident warp leaves behind.
-                expected = {}
-                for warp_id, resident in alloc._resident.items():
-                    cached = resident.cached_bitmap.copy()
-                    if (resident.super_block, resident.block) == (super_block, block):
-                        cached[lane] &= np.uint32(~(1 << bit) & 0xFFFFFFFF)
-                    expected[warp_id] = cached
-                alloc.deallocate(warps[step % len(warps)], address)
-                for warp_id, resident in alloc._resident.items():
-                    assert np.array_equal(resident.cached_bitmap, expected[warp_id])
-            else:
-                live.append(alloc.warp_allocate(warps[int(rng.integers(len(warps)))]))
-        assert device.counters.resident_changes > 0
-        sharing = {}
-        for resident in alloc._resident.values():
-            key = (resident.super_block, resident.block)
-            sharing[key] = sharing.get(key, 0) + 1
-        assert max(sharing.values()) > 1
+        warps = [Warp(i, device.counters) for i in range(16)]
+        addresses = [alloc.warp_allocate(warps[i % len(warps)]) for i in range(160)]
+        cached = {warp_id: r.cached_bitmap.copy() for warp_id, r in alloc._resident.items()}
+        freed = addresses[::3]
+        alloc.deallocate(warps[0], freed[0])
+        alloc.deallocate(warps[1], np.array(freed[1:], dtype=np.int64))
+        assert not any(alloc.is_allocated(address) for address in freed)
+        assert alloc._resident.keys() == cached.keys()
+        for warp_id, resident in alloc._resident.items():
+            assert np.array_equal(resident.cached_bitmap, cached[warp_id])
+        # A stale cached word costs a retry or a resident change, never a duplicate.
+        again = [alloc.warp_allocate(warps[i % len(warps)]) for i in range(len(freed))]
+        live = set(addresses) - set(freed)
+        assert len(set(again)) == len(again) and not live & set(again)
 
 
 def _release_state(device, alloc):
@@ -199,7 +188,6 @@ class TestArrayDeallocate:
         device, alloc, warp, addresses = self.populated(light)
         twin_device, twin, twin_warp, _ = self.populated(light)
         assert len(alloc._arena) > 1
-        assert max(len(group) for group in alloc._residents_by_block.values()) > 1
         freed = addresses[:250]
         for address in freed.tolist():
             twin.deallocate(twin_warp, address)
@@ -278,6 +266,38 @@ class TestResidentChangesAndGrowth:
             alloc.warp_allocate(warp)
         reads = device.counters.coalesced_read_transactions - before
         assert reads >= device.counters.resident_changes
+
+
+class TestResidentLifetime:
+    """A resident block lives for one kernel, as a warp's registers do."""
+
+    def test_resident_map_holds_only_the_last_launchs_warps(self, monkeypatch):
+        policy = LoadFactorPolicy(auto=False, incremental=True, migration_step_buckets=4)
+        table = SlabHash(8, seed=4, policy=policy, alloc_config=SlabAllocConfig(1, 16, 64))
+        alloc = table.alloc
+        launch_warps = {}  # kernel launch -> ids of the warps that allocated in it
+        allocate = alloc.warp_allocate
+
+        def spy(warp):
+            launch = table.device.counters.kernel_launches
+            launch_warps.setdefault(launch, set()).add(warp.warp_id)
+            return allocate(warp)
+
+        monkeypatch.setattr(alloc, "warp_allocate", spy)
+        rng = np.random.default_rng(8)
+        for step in range(300):
+            ops = rng.choice([C.OP_INSERT, C.OP_DELETE, C.OP_SEARCH], size=64, p=[0.5, 0.35, 0.15])
+            keys = rng.integers(1, 2000, size=64).astype(np.uint32)
+            table.concurrent_batch(ops, keys, keys)
+            table.maybe_resize()
+            if step % 10 == 9:
+                table.flush()
+            last = launch_warps[max(launch_warps)] if launch_warps else set()
+            assert set(alloc._resident) <= last
+            assert len(alloc._resident) <= len(last)
+        assert table.resize_stats.resizes > 0 and table.resize_stats.migration_steps > 0
+        assert table.device.counters.deallocations > 0
+        assert len(launch_warps) > 20  # allocating launches, each with fresh warps
 
 
 class TestContention:

@@ -26,6 +26,7 @@ from repro.core.slab_hash import SlabHash
 from repro.engine.sharded import ShardedSlabHash
 from repro.faults import FaultAction, FaultPlan, InjectedBatchFailure
 from repro.perf.latency import LatencyReport
+from repro.persist.recovery import recover
 from repro.persist.wal import WriteAheadLog
 from repro.service import (
     LANE_CLOSED,
@@ -408,6 +409,50 @@ class TestWalCommitFailure:
                 await service.insert(99, 990)
                 assert await service.search(99) == 990
             wal.close()
+
+        asyncio.run(asyncio.wait_for(main(), timeout=10))
+
+
+class TestAbortBookkeeping:
+    def test_checkpoint_drops_the_aborts_it_covers(self, tmp_path):
+        """Aborted-batch sets empty at a checkpoint; the counter and recovery hold."""
+
+        async def main():
+            # One op per batch on one table: batch i commits as wal.append
+            # occurrence i plus the abort markers before it.  Batches 3, 7
+            # and 11 are rejected before they run; batch 7's marker append
+            # (occurrence 9) fails too, so that abort stays unlogged.
+            plan = FaultPlan(
+                {
+                    **{("shard:0.execute", i): FaultAction(exc="batch") for i in (3, 7, 11)},
+                    ("wal.append", 9): FaultAction(exc="os"),
+                }
+            )
+            wal = WriteAheadLog(str(tmp_path / "svc.wal"))
+            config = ServiceConfig(max_batch_size=128, max_delay=0.0005, breaker_threshold=10)
+            engine = SlabHash(16, alloc_config=SMALL_ALLOC, seed=5)
+            service = SlabHashService(engine, config=config, wal=wal, faults=plan)
+            snap = str(tmp_path / "svc.snap")
+            async with service:
+                for key in range(1, 16):
+                    try:
+                        await service.insert(key, key * 3)
+                    except InjectedBatchFailure:
+                        pass
+                assert service._aborted_indices == {3, 7, 11}
+                assert service._unlogged_aborts == {7}
+                service.checkpoint(snap)
+                assert not service._aborted_indices and not service._unlogged_aborts
+                assert service.stats().batches_aborted == 3
+                for key in range(16, 24):
+                    await service.insert(key, key * 3)
+                live = service.engine
+                assert service.stats().batches_aborted == 3
+            wal.close()
+            recovered, _report = recover(snap, wal.path)
+            assert sorted(recovered.items()) == sorted(live.items())
+            assert recovered.device.counters.as_dict() == live.device.counters.as_dict()
+            assert {key for key, _ in live.items()} == set(range(1, 24)) - {4, 8, 12}
 
         asyncio.run(asyncio.wait_for(main(), timeout=10))
 
