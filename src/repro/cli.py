@@ -314,18 +314,16 @@ def _cmd_snapshot(args: argparse.Namespace, stream: TextIO) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace, stream: TextIO) -> int:
-    from repro.engine.sharded import ShardedSlabHash
     from repro.persist import recover
 
     engine, report = recover(args.snapshot, args.wal)
-    sharded = isinstance(engine, ShardedSlabHash)
     rows = [
         ["snapshot", report.snapshot_path],
         ["wal", report.wal_path or "(none)"],
         ["records replayed", str(report.records_replayed)],
         ["operations replayed", str(report.ops_replayed)],
         ["torn tail discarded", "yes" if report.torn_tail else "no"],
-        ["kind", "sharded engine" if sharded else "single table"],
+        ["shards", str(engine.num_shards)],
         ["elements", str(len(engine))],
         ["buckets", str(engine.num_buckets)],
     ]

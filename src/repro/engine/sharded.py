@@ -116,9 +116,7 @@ class ShardedSlabHash:
         backend: Optional[str] = None,
         load_factor_policy: Optional[LoadFactorPolicy] = None,
     ) -> None:
-        if num_shards <= 0:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
-        self.router = ShardRouter(num_shards, seed=seed)
+        self.router = ShardRouter(num_shards, seed=seed)  # rejects num_shards <= 0
         self.shards: List[SlabHash] = [
             SlabHash(
                 buckets_per_shard,
@@ -135,6 +133,22 @@ class ShardedSlabHash:
         ]
         self.cost_model = CostModel(device_spec)
         self._ops_routed = np.zeros(num_shards, dtype=np.int64)
+
+    @classmethod
+    def from_shards(cls, shards: Sequence[SlabHash]) -> "ShardedSlabHash":
+        """An engine over existing tables, adopted as they are.
+
+        No table is rebuilt or reseeded: ``engine.shards[i] is shards[i]``.
+        The router takes the default draw (a one-shard router sends every
+        key to shard 0, so ``from_shards([table])`` behaves as ``table``
+        itself), and routing accounting starts at zero.
+        """
+        engine = cls.__new__(cls)
+        engine.router = ShardRouter(len(shards))
+        engine.shards = list(shards)
+        engine.cost_model = CostModel(engine.shards[0].device.spec)
+        engine._ops_routed = np.zeros(len(shards), dtype=np.int64)
+        return engine
 
     # ------------------------------------------------------------------ #
     # Sizing helpers

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class RecoveryReport(StatsRecord):
     records_aborted: int = 0  #: logged batches skipped because they were aborted
 
 
-def replay_record(engine: Union[SlabHash, ShardedSlabHash], record: WalRecord) -> bool:
+def replay_record(engine: ShardedSlabHash, record: WalRecord) -> bool:
     """Re-execute one logged batch exactly as the service drain loop did.
 
     Mirrors ``SlabHashService._execute`` *including its failure tolerance*:
@@ -84,31 +84,26 @@ def replay_record(engine: Union[SlabHash, ShardedSlabHash], record: WalRecord) -
     idempotent once resizes are incremental — pumping an untouched shard
     would advance its migration further than the live run did).  Pump
     failures are swallowed like the live loop's
-    (``_resize_between_batches``).
+    (``_resize_between_batches``).  ``engine`` is always an engine: a
+    single table replays as the one-shard engine
+    ``ShardedSlabHash.from_shards([table])``, whose router sends every key to
+    its one shard.
 
     Returns ``True`` when the batch executed cleanly, ``False`` when it
     raised (matching the live run's ``ops_failed`` outcome).
     """
-    key_value = (
-        engine.shards[0].config.key_value
-        if isinstance(engine, ShardedSlabHash)
-        else engine.config.key_value
-    )
-    values = record.values if key_value else None
+    values = record.values if engine.shards[0].config.key_value else None
     try:
         engine.concurrent_batch(record.op_codes, record.keys, values)
     except Exception:  # noqa: BLE001 - the live loop failed this batch and served on
         return False
     try:
-        if isinstance(engine, ShardedSlabHash):
-            # The live drain pumped only the shard whose batch just ran;
-            # router.partition is the accounting-free routing view.
-            keys = np.asarray(record.keys, dtype=np.uint64)
-            for shard, idx in zip(engine.shards, engine.router.partition(keys)):
-                if idx.size:
-                    shard.maybe_resize()
-        else:
-            engine.maybe_resize()
+        # The live drain pumped only the shard whose batch just ran;
+        # router.partition is the accounting-free routing view.
+        keys = np.asarray(record.keys, dtype=np.uint64)
+        for shard, idx in zip(engine.shards, engine.router.partition(keys)):
+            if idx.size:
+                shard.maybe_resize()
     except Exception:  # noqa: BLE001 - the live loop swallowed this too
         pass
     return True
@@ -119,11 +114,14 @@ def recover(
     wal_path: Optional[str] = None,
     *,
     extra_aborted: Optional[Iterable[int]] = None,
-) -> Tuple[Union[SlabHash, ShardedSlabHash], RecoveryReport]:
+) -> Tuple[ShardedSlabHash, RecoveryReport]:
     """Restore ``snapshot_path`` and replay the complete records of ``wal_path``.
 
-    Returns the recovered table/engine and a :class:`RecoveryReport`; a
-    missing or empty WAL means the snapshot alone is the recovered state.
+    Returns the recovered engine and a :class:`RecoveryReport`; a missing or
+    empty WAL means the snapshot alone is the recovered state.  A table-file
+    snapshot (``SlabHash.save``) recovers as the one-shard engine
+    ``ShardedSlabHash.from_shards([table])``, so the result is always an
+    engine.
 
     Records whose ``batch_index`` lies below the snapshot's WAL floor
     (:func:`~repro.persist.snapshot.wal_floor`) are skipped: a crash in the
@@ -147,6 +145,8 @@ def recover(
     failed) — the quarantine-restore path passes its own set here.
     """
     engine = load(snapshot_path)
+    if isinstance(engine, SlabHash):
+        engine = ShardedSlabHash.from_shards([engine])
     floor = wal_floor(snapshot_path)
     records: List[WalRecord] = []
     torn = False

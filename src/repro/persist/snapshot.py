@@ -39,9 +39,7 @@ from repro.core.resize import LoadFactorPolicy, MigrationState
 from repro.core.slab_alloc import SlabAlloc
 from repro.core.slab_hash import SlabHash
 from repro.core.slab_list import SlabListCollection
-from repro.engine.router import ShardRouter
 from repro.engine.sharded import ShardedSlabHash
-from repro.gpusim.costmodel import CostModel
 from repro.gpusim.counters import Counters
 from repro.gpusim.device import Device, DeviceSpec
 
@@ -244,15 +242,11 @@ def _load_engine(path: str) -> ShardedSlabHash:
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
     _check_header(manifest, "sharded_slab_hash", manifest_path)
-    shards = [_load_table(os.path.join(path, name)) for name in manifest["shards"]]
-
-    engine = ShardedSlabHash.__new__(ShardedSlabHash)
-    router = ShardRouter(manifest["num_shards"])
-    router._hash.a = manifest["router"]["a"]
-    router._hash.b = manifest["router"]["b"]
-    engine.router = router
-    engine.shards = shards
-    engine.cost_model = CostModel(shards[0].device.spec)
+    engine = ShardedSlabHash.from_shards(
+        [_load_table(os.path.join(path, name)) for name in manifest["shards"]]
+    )
+    engine.router._hash.a = manifest["router"]["a"]
+    engine.router._hash.b = manifest["router"]["b"]
     engine._ops_routed = np.array(manifest["ops_routed"], dtype=np.int64)
     return engine
 

@@ -1,4 +1,4 @@
-"""An async request-service layer over the (sharded) slab hash.
+"""An async request-service layer over the sharded slab-hash engine.
 
 :class:`SlabHashService` is the front door a traffic-serving deployment
 would put in front of the engine: callers ``await`` single operations
@@ -319,15 +319,17 @@ class Lane:
 
 
 class SlabHashService:
-    """Async micro-batching front door over a sharded (or single) slab hash.
+    """Async micro-batching front door over a sharded slab hash.
 
     Parameters
     ----------
     engine:
-        A :class:`~repro.engine.sharded.ShardedSlabHash` (operations are
+        A :class:`~repro.engine.sharded.ShardedSlabHash`: operations are
         routed to per-shard logs at admission through its
-        :class:`~repro.engine.router.ShardRouter`) or a single
-        :class:`~repro.core.slab_hash.SlabHash` (one lane).
+        :class:`~repro.engine.router.ShardRouter`, one drain lane per shard.
+        A single :class:`~repro.core.slab_hash.SlabHash` is adopted as the
+        one-shard engine ``ShardedSlabHash.from_shards([table])``, so
+        :attr:`engine` is always an engine and ``engine.shards[0] is table``.
     config:
         Coalescing and execution knobs; defaults favour throughput with a
         2 ms co-batching budget.
@@ -361,15 +363,14 @@ class SlabHashService:
         wal: Optional[WriteAheadLog] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
+        if isinstance(engine, SlabHash):
+            engine = ShardedSlabHash.from_shards([engine])
         self.engine = engine
         self.config = config or ServiceConfig()
         self.wal = wal
         self.faults = faults
-        self._sharded = isinstance(engine, ShardedSlabHash)
-        self._shards: List[SlabHash] = list(engine.shards) if self._sharded else [engine]
-        table_config = self._shards[0].config
-        self._key_value = table_config.key_value
-        self._lanes = [Lane(MicroBatcher(self.config.max_batch_size)) for _ in self._shards]
+        self._key_value = engine.shards[0].config.key_value
+        self._lanes = [Lane(MicroBatcher(self.config.max_batch_size)) for _ in engine.shards]
         self._latency = LatencyRecorder()
         self._drain_tasks: List["asyncio.Task[None]"] = []
         self._staged: List[_StagedBatch] = []
@@ -393,7 +394,7 @@ class SlabHashService:
         self._batches_aborted = 0
         self._wal_rollbacks = 0
         if faults is not None:
-            for index, table in enumerate(self._shards):
+            for index, table in enumerate(engine.shards):
                 table.alloc.faults = faults.scoped(f"shard:{index}.")
             if wal is not None and wal.faults is None:
                 wal.faults = faults
@@ -415,7 +416,7 @@ class SlabHashService:
                 lane.wake = asyncio.Event()
             self._drain_tasks = [
                 loop.create_task(self._drain_shard(shard))
-                for shard in range(len(self._shards))
+                for shard in range(self.num_lanes)
             ]
             # A lane left quarantined by a stop() mid-restore re-arms here.
             for shard, lane in enumerate(self._lanes):
@@ -525,7 +526,7 @@ class SlabHashService:
     ) -> "asyncio.Future[np.ndarray]":
         self._require_running()
         keys = user_keys([key])
-        shard = self.engine.admit_one(key) if self._sharded else 0
+        shard = self.engine.admit_one(key)
         self._admission_check(shard, 1)
         future: "asyncio.Future[np.ndarray]" = asyncio.get_running_loop().create_future()
         now = self._stamp_enqueue()
@@ -620,10 +621,7 @@ class SlabHashService:
             bad = op_codes[~np.isin(op_codes, _VALID_OPS)][0]
             raise ValueError(f"unknown operation code {int(bad)!r}")
 
-        if self._sharded:
-            parts = self.engine.admit_partition(keys)
-        else:
-            parts = [np.arange(len(keys), dtype=np.int64)]
+        parts = self.engine.admit_partition(keys)
         # All-or-nothing admission: check every target lane before enqueueing
         # anything, so a rejected slice leaves no partial chunks behind.
         for shard, idx in enumerate(parts):
@@ -768,7 +766,7 @@ class SlabHashService:
 
     def _execute(self, entry: _StagedBatch) -> None:
         batch = entry.batch
-        table = self._shards[entry.shard]
+        table = self.engine.shards[entry.shard]
         holder = {}
 
         if self.faults is not None:
@@ -953,13 +951,8 @@ class SlabHashService:
             None if self.wal is None else self.wal.path,
             extra_aborted=self._aborted_indices,
         )
-        if self._sharded:
-            fresh = engine.shards[shard]
-            self.engine.shards[shard] = fresh
-        else:
-            fresh = engine
-            self.engine = engine
-        self._shards[shard] = fresh
+        fresh = engine.shards[shard]
+        self.engine.shards[shard] = fresh
         if self.faults is not None:
             fresh.alloc.faults = self.faults.scoped(f"shard:{shard}.")
 
@@ -984,12 +977,9 @@ class SlabHashService:
         migration never overwrites or clears an earlier recorded failure.
         """
         try:
-            if self._sharded:
-                # Through the engine hook (exactly this shard's
-                # maybe_resize()) so tracers that patch the engine see it.
-                results = self.engine.maybe_resize_shard(shard)
-            else:
-                results = self._shards[shard].maybe_resize()
+            # Through the engine hook (exactly this shard's maybe_resize())
+            # so tracers that patch the engine see it.
+            results = self.engine.maybe_resize_shard(shard)
         except Exception as exc:  # noqa: BLE001 - the table is intact; keep serving
             self._resize_failure_log.append(
                 f"after batch {batch_index}: {type(exc).__name__}: {exc}"
@@ -1087,8 +1077,8 @@ class SlabHashService:
 
     @property
     def num_lanes(self) -> int:
-        """Drain lanes (shards for a sharded engine, 1 for a single table)."""
-        return len(self._shards)
+        """Drain lanes: one per engine shard (1 for a wrapped single table)."""
+        return self.engine.num_shards
 
     @property
     def lane_states(self) -> Tuple[str, ...]:
@@ -1168,12 +1158,12 @@ class SlabHashService:
             resizes_performed=self._resizes_performed,
             resize_failures=tuple(self._resize_failure_log),
             resize_modelled_seconds=self._resize_modelled_seconds,
-            migration_steps=sum(t.resize_stats.migration_steps for t in self._shards),
+            migration_steps=sum(t.resize_stats.migration_steps for t in self.engine.shards),
             migration_buckets_moved=sum(
-                t.resize_stats.migration_buckets for t in self._shards
+                t.resize_stats.migration_buckets for t in self.engine.shards
             ),
             migration_items_moved=sum(
-                t.resize_stats.migration_items for t in self._shards
+                t.resize_stats.migration_items for t in self.engine.shards
             ),
             ops_rejected=sum(lane.rejected_overloaded for lane in lanes)
             + sum(lane.rejected_quarantined for lane in lanes),
@@ -1186,8 +1176,7 @@ class SlabHashService:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        target = "sharded" if self._sharded else "single-table"
         return (
-            f"SlabHashService({target}, lanes={self.num_lanes}, "
+            f"SlabHashService(lanes={self.num_lanes}, "
             f"pending={self.pending}, completed={self._ops_completed})"
         )

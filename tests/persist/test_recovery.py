@@ -261,7 +261,64 @@ class TestServiceRecovery:
 
         recovered, _ = recover(snap, str(tmp_path / "ops.wal"))
         assert engine_state(recovered) == engine_state(engine)
-        assert recovered.resize_stats.resizes == engine.resize_stats.resizes
+        assert recovered.shards[0].resize_stats.resizes == engine.resize_stats.resizes
+
+
+def snapshot_arrays(table, path):
+    """Every array (the JSON header included) of ``table``'s table-file snapshot."""
+    save(table, path)
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+class TestSingleTableIsAOneShardEngine:
+    """A bare table enters the service and recovery as a one-shard engine."""
+
+    def test_from_shards_adopts_the_table_and_routes_every_key_to_it(self):
+        table = SlabHash(16, alloc_config=SMALL_ALLOC, seed=3)
+        engine = ShardedSlabHash.from_shards([table])
+        assert engine.num_shards == 1 and engine.shards[0] is table
+        keys = make_keys(300, seed=3)
+        assert not engine.router.route(keys).any()
+        engine.bulk_insert(keys, keys)
+        assert len(table) == len(keys)
+        assert engine.shard_sizes().tolist() == [len(keys)]
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_single_table_service_recovers_as_its_one_shard(self, backend, tmp_path):
+        """Checkpoint and table-file recoveries both equal the live table."""
+        policy = LoadFactorPolicy(
+            min_buckets=2, incremental=True, migration_step_buckets=1
+        ).deferred()
+        table = SlabHash(2, alloc_config=SMALL_ALLOC, seed=31, backend=backend, policy=policy)
+        checkpoint = str(tmp_path / "checkpoint")
+        table_file = str(tmp_path / "table.npz")
+        wal = WriteAheadLog(str(tmp_path / "ops.wal"))
+        before, after = stream(400, seed=31), stream(300, seed=32)
+
+        async def main():
+            async with SlabHashService(table, config=FAST, wal=wal) as service:
+                assert service.engine.shards == [table]
+                await service.submit_many(*before)
+                service.checkpoint(checkpoint)
+                table.save(table_file)  # the same state, as a table file
+                await service.submit_many(*after)
+
+        asyncio.run(main())
+        wal.close()
+        assert table.resize_stats.migration_steps >= 1
+        live_arrays = snapshot_arrays(table, str(tmp_path / "live.npz"))
+        for source in (checkpoint, table_file):
+            engine, report = recover(source, wal.path)
+            assert report.records_replayed >= 1
+            assert isinstance(engine, ShardedSlabHash) and engine.num_shards == 1
+            (shard,) = engine.shards
+            assert shard.items() == table.items()
+            assert shard.device.counters.as_dict() == table.device.counters.as_dict()
+            arrays = snapshot_arrays(shard, str(tmp_path / "recovered.npz"))
+            assert arrays.keys() == live_arrays.keys()
+            for name, array in live_arrays.items():
+                assert np.array_equal(arrays[name], array), (source, name)
 
 
 class TestWalFloorBoundary:

@@ -66,6 +66,11 @@ def fresh_impl(kind: str):
     return SlabHash(POLICY.min_buckets, alloc_config=ALLOC, seed=41, policy=POLICY)
 
 
+def as_engine(impl) -> ShardedSlabHash:
+    """The engine ``replay_record`` drives: a bare table as its one-shard engine."""
+    return impl if isinstance(impl, ShardedSlabHash) else ShardedSlabHash.from_shards([impl])
+
+
 def generate_batches(seed: int, num_batches: int = 10) -> list:
     """Random mixed micro-batches with batch-unique keys (schedule-independent)."""
     rng = random.Random(seed)
@@ -180,7 +185,7 @@ def run_crash_scenario(seed: int, kind: str, tmp_path) -> None:
             wal.append(record.op_codes, record.keys, record.values,
                        batch_index=record.batch_index)
         )
-        replay_record(impl, record)  # the drain loop: execute + maybe_resize
+        replay_record(as_engine(impl), record)  # the drain loop: execute + maybe_resize
     if checkpoint_after == len(batches):  # pragma: no cover - randrange excludes
         save(impl, snap)
         wal.truncate()
@@ -220,7 +225,7 @@ def run_crash_scenario(seed: int, kind: str, tmp_path) -> None:
 
         oracle = fresh_impl(kind)
         for record in prefix:
-            replay_record(oracle, record)
+            replay_record(as_engine(oracle), record)
         assert full_state(recovered) == full_state(oracle), (
             f"seed {seed} {kind}: crash at {crash_at} is not bit-identical "
             "to a live run of the surviving prefix"
@@ -285,7 +290,7 @@ def run_group_commit_crash_scenario(seed: int, kind: str, tmp_path) -> None:
             )
         )
         for record in round_batches:
-            replay_record(impl, record)
+            replay_record(as_engine(impl), record)
             replayed_after_checkpoint += 1
     wal_end = wal.size()
     wal.close()
@@ -329,7 +334,7 @@ def run_group_commit_crash_scenario(seed: int, kind: str, tmp_path) -> None:
 
         oracle = fresh_impl(kind)
         for record in prefix:
-            replay_record(oracle, record)
+            replay_record(as_engine(oracle), record)
         assert full_state(recovered) == full_state(oracle), (
             f"seed {seed} {kind}: group crash at {crash_at} is not "
             "bit-identical to a live run of the surviving prefix"
@@ -433,7 +438,7 @@ def run_mid_migration_crash_scenario(seed: int, kind: str, tmp_path) -> None:
     scout = fresh_incremental_impl(kind)
     checkpoint_after = None
     for index, record in enumerate(batches):
-        replay_record(scout, record)
+        replay_record(as_engine(scout), record)
         if checkpoint_after is None and _any_migrating(scout):
             checkpoint_after = index + 1
     assert checkpoint_after is not None and checkpoint_after < len(batches), (
@@ -459,7 +464,7 @@ def run_mid_migration_crash_scenario(seed: int, kind: str, tmp_path) -> None:
             wal.append(record.op_codes, record.keys, record.values,
                        batch_index=record.batch_index)
         )
-        replay_record(impl, record)
+        replay_record(as_engine(impl), record)
     wal_end = wal.size()
     wal.close()
     live_end_state = full_state(impl)
@@ -497,7 +502,7 @@ def run_mid_migration_crash_scenario(seed: int, kind: str, tmp_path) -> None:
 
         oracle = fresh_incremental_impl(kind)
         for record in prefix:
-            replay_record(oracle, record)
+            replay_record(as_engine(oracle), record)
         assert full_state(recovered) == full_state(oracle), (
             f"seed {seed} {kind}: mid-migration crash at {crash_at} is not "
             "bit-identical to a live run of the surviving prefix"
@@ -529,8 +534,10 @@ def test_mid_migration_snapshot_round_trips_bit_identically(tmp_path):
 
         snap = str(tmp_path / f"midmig-{backend}.npz")
         save(table, snap)
-        restored, report = recover(snap)
+        engine, report = recover(snap)
         assert report.records_replayed == 0
+        assert engine.num_shards == 1
+        restored = engine.shards[0]
         assert full_state(restored) == full_state(table)
 
         while table.migration is not None:

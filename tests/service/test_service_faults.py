@@ -293,20 +293,26 @@ class TestCircuitBreaker:
 
         asyncio.run(asyncio.wait_for(main(), timeout=30))
 
-    def test_quarantine_restore_rebuilds_from_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize(
+        "make_table, site",
+        [
+            (make_engine, "shard:1.execute"),
+            (lambda: SlabHash(16, alloc_config=SMALL_ALLOC, seed=5), "shard:0.execute"),
+        ],
+        ids=["engine", "table"],
+    )
+    def test_quarantine_restore_rebuilds_from_checkpoint(self, tmp_path, make_table, site):
         async def main():
-            # Occurrence 10 of shard 1's execute site: the single bulk
+            # Occurrence 10 of the shard's execute site: the single bulk
             # admission before the checkpoint cuts at most a few batches per
             # shard, so occurrence 10 is guaranteed to land in the
             # post-checkpoint single-op traffic.
-            plan = FaultPlan(
-                {("shard:1.execute", 10): FaultAction(exc="batch")}
-            )
+            plan = FaultPlan({(site, 10): FaultAction(exc="batch")})
             wal = WriteAheadLog(str(tmp_path / "svc.wal"))
             config = ServiceConfig(
                 max_batch_size=128, max_delay=0.0005, breaker_threshold=1
             )
-            engine = make_engine()
+            engine = make_table()
             service = SlabHashService(engine, config=config, wal=wal, faults=plan)
             model = {}
             async with service:
@@ -451,7 +457,10 @@ class TestAbortBookkeeping:
             wal.close()
             recovered, _report = recover(snap, wal.path)
             assert sorted(recovered.items()) == sorted(live.items())
-            assert recovered.device.counters.as_dict() == live.device.counters.as_dict()
+            assert (
+                recovered.shards[0].device.counters.as_dict()
+                == live.shards[0].device.counters.as_dict()
+            )
             assert {key for key, _ in live.items()} == set(range(1, 24)) - {4, 8, 12}
 
         asyncio.run(asyncio.wait_for(main(), timeout=10))

@@ -148,3 +148,6 @@ class TestPersistCommands:
         output = stream.getvalue()
         assert "records replayed" in output and "2" in output
         assert "1104" in output  # 1024 built + 80 replayed insertions
+        # The snapshot is a table file; recovery adopts it as a one-shard engine.
+        rows = [line.split() for line in output.splitlines()]
+        assert ["shards", "1"] in rows
