@@ -293,6 +293,28 @@ class TestShardList:
         assert np.array_equal(found[owner == 0], values_for_keys(later)[owner == 0])
         assert np.array_equal(engine.bulk_search(keys), values_for_keys(keys))
 
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_one_shard_engine_over_a_table_runs_as_the_table(self, backend):
+        """``from_shards([table])`` does exactly what ``table`` does: a twin
+        built from the same seed, driven directly, ends bit-identical."""
+        wrapped, twin = (
+            SlabHash(4, alloc_config=ALLOC, seed=17, backend=backend) for _ in range(2)
+        )
+        engine = ShardedSlabHash.from_shards([wrapped])
+        rng = np.random.default_rng(17)
+        for round_ in range(4):
+            keys = make_keys(200, seed=40 + round_)
+            ops = rng.choice([C.OP_INSERT, C.OP_SEARCH, C.OP_DELETE], size=keys.size)
+            vals = values_for_keys(keys)
+            assert np.array_equal(
+                engine.concurrent_batch(ops, keys, vals),
+                twin.concurrent_batch(ops, keys, vals),
+            )
+        assert engine.shards[0] is wrapped
+        assert wrapped.items() == twin.items()
+        assert wrapped.device.counters.as_dict() == twin.device.counters.as_dict()
+        assert engine._ops_routed.tolist() == [4 * 200]
+
     @pytest.mark.parametrize("knob", [{"executor": "process"}, {"executor_workers": 2}])
     def test_there_is_no_executor_knob(self, knob):
         with pytest.raises(TypeError):

@@ -12,6 +12,7 @@ the service wiring: write-ahead ordering, checkpointing, restart.)
 from __future__ import annotations
 
 import asyncio
+import os
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from repro.core.config import SlabAllocConfig
 from repro.core.resize import LoadFactorPolicy
 from repro.core.slab_hash import SlabHash
 from repro.engine import ShardedSlabHash
-from repro.persist import WriteAheadLog, read_records, recover, save
+from repro.persist import WriteAheadLog, load, read_records, recover, save
 from repro.service import ServiceConfig, SlabHashService
 
 from tests.conftest import make_keys
@@ -284,12 +285,76 @@ class TestSingleTableIsAOneShardEngine:
         assert len(table) == len(keys)
         assert engine.shard_sizes().tolist() == [len(keys)]
 
+    def test_from_shards_adopts_several_tables_in_order(self):
+        tables = [SlabHash(8, alloc_config=SMALL_ALLOC, seed=seed) for seed in (4, 5)]
+        engine = ShardedSlabHash.from_shards(tables)
+        assert engine.num_shards == 2
+        assert all(shard is table for shard, table in zip(engine.shards, tables))
+        assert engine._ops_routed.tolist() == [0, 0]
+        keys = make_keys(300, seed=4)
+        engine.bulk_insert(keys, keys)
+        routes = engine.router.route(keys)
+        assert [len(table) for table in tables] == np.bincount(routes, minlength=2).tolist()
+        assert engine._ops_routed.tolist() == [len(table) for table in tables]
+
+    def test_from_shards_needs_a_table(self):
+        with pytest.raises(ValueError):
+            ShardedSlabHash.from_shards([])
+
+    def test_single_table_checkpoint_is_a_one_table_manifest(self, tmp_path):
+        table = SlabHash(16, alloc_config=SMALL_ALLOC, seed=21)
+        checkpoint = str(tmp_path / "checkpoint")
+
+        async def main():
+            async with SlabHashService(table, config=FAST) as service:
+                await service.submit_many(*stream(200, seed=21))
+                assert service.checkpoint(checkpoint) == checkpoint
+
+        asyncio.run(main())
+        assert sorted(os.listdir(checkpoint)) == ["manifest.json", "shard-000.npz"]
+        restored = load(checkpoint)
+        assert isinstance(restored, ShardedSlabHash) and restored.num_shards == 1
+        assert engine_state(restored) == engine_state(ShardedSlabHash.from_shards([table]))
+
+    def test_recovered_service_resumes_from_a_table_file(self, tmp_path):
+        table = SlabHash(16, alloc_config=SMALL_ALLOC, seed=23)
+        table_file = str(tmp_path / "table.npz")
+        table.save(table_file)
+        wal_path = str(tmp_path / "ops.wal")
+        wal = WriteAheadLog(wal_path)
+        run_service(table, wal, stream(300, seed=23))
+        wal.close()
+
+        async def resume():
+            service = SlabHashService.recovered(
+                table_file, WriteAheadLog(wal_path), config=FAST
+            )
+            assert service.num_lanes == service.engine.num_shards == 1
+            assert engine_state(service.engine) == engine_state(table)
+            async with service:
+                await service.insert(77, 770)
+                assert await service.search(77) == 770
+            service.wal.close()
+            return service.engine
+
+        resumed = asyncio.run(resume())
+        # The resumed service logged its batches: a second recovery sees them.
+        recovered, _ = recover(table_file, wal_path)
+        assert engine_state(recovered) == engine_state(resumed)
+
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_single_table_service_recovers_as_its_one_shard(self, backend, tmp_path):
+    @pytest.mark.parametrize("policy_kind", ["none", "stop-the-world", "incremental"])
+    def test_single_table_service_recovers_as_its_one_shard(
+        self, policy_kind, backend, tmp_path
+    ):
         """Checkpoint and table-file recoveries both equal the live table."""
-        policy = LoadFactorPolicy(
-            min_buckets=2, incremental=True, migration_step_buckets=1
-        ).deferred()
+        policy = {
+            "none": None,
+            "stop-the-world": LoadFactorPolicy(min_buckets=2).deferred(),
+            "incremental": LoadFactorPolicy(
+                min_buckets=2, incremental=True, migration_step_buckets=1
+            ).deferred(),
+        }[policy_kind]
         table = SlabHash(2, alloc_config=SMALL_ALLOC, seed=31, backend=backend, policy=policy)
         checkpoint = str(tmp_path / "checkpoint")
         table_file = str(tmp_path / "table.npz")
@@ -306,7 +371,10 @@ class TestSingleTableIsAOneShardEngine:
 
         asyncio.run(main())
         wal.close()
-        assert table.resize_stats.migration_steps >= 1
+        if policy_kind == "stop-the-world":
+            assert table.resize_stats.resizes >= 1
+        elif policy_kind == "incremental":
+            assert table.resize_stats.migration_steps >= 1
         live_arrays = snapshot_arrays(table, str(tmp_path / "live.npz"))
         for source in (checkpoint, table_file):
             engine, report = recover(source, wal.path)

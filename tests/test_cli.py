@@ -151,3 +151,14 @@ class TestPersistCommands:
         # The snapshot is a table file; recovery adopts it as a one-shard engine.
         rows = [line.split() for line in output.splitlines()]
         assert ["shards", "1"] in rows
+
+    def test_recover_reports_an_engine_snapshot_shard_count(self, tmp_path):
+        out = str(tmp_path / "demo-engine")
+        assert main(["snapshot", out, "--elements", "1024", "--shards", "3"],
+                    stream=io.StringIO()) == 0
+        stream = io.StringIO()
+        assert main(["recover", out], stream=stream) == 0
+        rows = [line.split() for line in stream.getvalue().splitlines()]
+        assert ["shards", "3"] in rows
+        assert ["elements", "1024"] in rows
+        assert ["records", "replayed", "0"] in rows
