@@ -116,8 +116,8 @@ class ShardedSlabHash:
         backend: Optional[str] = None,
         load_factor_policy: Optional[LoadFactorPolicy] = None,
     ) -> None:
-        self.router = ShardRouter(num_shards, seed=seed)  # rejects num_shards <= 0
-        self.shards: List[SlabHash] = [
+        router = ShardRouter(num_shards, seed=seed)  # rejects num_shards <= 0
+        shards = [
             SlabHash(
                 buckets_per_shard,
                 device=Device(device_spec),
@@ -131,24 +131,25 @@ class ShardedSlabHash:
             )
             for shard in range(num_shards)
         ]
-        self.cost_model = CostModel(device_spec)
-        self._ops_routed = np.zeros(num_shards, dtype=np.int64)
+        self._adopt(router, shards)
 
     @classmethod
     def from_shards(cls, shards: Sequence[SlabHash]) -> "ShardedSlabHash":
-        """An engine over existing tables, adopted as they are.
+        """An engine adopting existing tables as they are: no rebuild, no reseed.
 
-        No table is rebuilt or reseeded: ``engine.shards[i] is shards[i]``.
-        The router takes the default draw (a one-shard router sends every
-        key to shard 0, so ``from_shards([table])`` behaves as ``table``
-        itself), and routing accounting starts at zero.
+        The router takes the default draw (one shard gets every key), and
+        routing accounting starts at zero.
         """
         engine = cls.__new__(cls)
-        engine.router = ShardRouter(len(shards))
-        engine.shards = list(shards)
-        engine.cost_model = CostModel(engine.shards[0].device.spec)
-        engine._ops_routed = np.zeros(len(shards), dtype=np.int64)
+        engine._adopt(ShardRouter(len(shards)), shards)  # rejects no shards
         return engine
+
+    def _adopt(self, router: ShardRouter, shards: Sequence[SlabHash]) -> None:
+        # Both constructors end here, so they set the same fields.
+        self.router = router
+        self.shards: List[SlabHash] = list(shards)
+        self.cost_model = CostModel(self.shards[0].device.spec)
+        self._ops_routed = np.zeros(len(self.shards), dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Sizing helpers

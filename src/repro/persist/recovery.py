@@ -84,10 +84,8 @@ def replay_record(engine: ShardedSlabHash, record: WalRecord) -> bool:
     idempotent once resizes are incremental — pumping an untouched shard
     would advance its migration further than the live run did).  Pump
     failures are swallowed like the live loop's
-    (``_resize_between_batches``).  ``engine`` is always an engine: a
-    single table replays as the one-shard engine
-    ``ShardedSlabHash.from_shards([table])``, whose router sends every key to
-    its one shard.
+    (``_resize_between_batches``).  A single table replays as the one-shard
+    engine ``ShardedSlabHash.from_shards([table])``.
 
     Returns ``True`` when the batch executed cleanly, ``False`` when it
     raised (matching the live run's ``ops_failed`` outcome).
@@ -117,11 +115,10 @@ def recover(
 ) -> Tuple[ShardedSlabHash, RecoveryReport]:
     """Restore ``snapshot_path`` and replay the complete records of ``wal_path``.
 
-    Returns the recovered engine and a :class:`RecoveryReport`; a missing or
-    empty WAL means the snapshot alone is the recovered state.  A table-file
-    snapshot (``SlabHash.save``) recovers as the one-shard engine
-    ``ShardedSlabHash.from_shards([table])``, so the result is always an
-    engine.
+    Returns the recovered engine (a table-file snapshot recovers as the
+    one-shard ``ShardedSlabHash.from_shards([table])``) and a
+    :class:`RecoveryReport`; a missing or empty WAL means the snapshot alone
+    is the recovered state.
 
     Records whose ``batch_index`` lies below the snapshot's WAL floor
     (:func:`~repro.persist.snapshot.wal_floor`) are skipped: a crash in the

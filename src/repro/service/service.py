@@ -84,6 +84,7 @@ client saw fail.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from dataclasses import dataclass, field
 from types import TracebackType
@@ -327,9 +328,8 @@ class SlabHashService:
         A :class:`~repro.engine.sharded.ShardedSlabHash`: operations are
         routed to per-shard logs at admission through its
         :class:`~repro.engine.router.ShardRouter`, one drain lane per shard.
-        A single :class:`~repro.core.slab_hash.SlabHash` is adopted as the
-        one-shard engine ``ShardedSlabHash.from_shards([table])``, so
-        :attr:`engine` is always an engine and ``engine.shards[0] is table``.
+        A bare :class:`~repro.core.slab_hash.SlabHash` becomes the one-shard
+        engine ``ShardedSlabHash.from_shards([table])``.
     config:
         Coalescing and execution knobs; defaults favour throughput with a
         2 ms co-batching budget.
@@ -363,14 +363,12 @@ class SlabHashService:
         wal: Optional[WriteAheadLog] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        if isinstance(engine, SlabHash):
-            engine = ShardedSlabHash.from_shards([engine])
-        self.engine = engine
+        self.engine = ShardedSlabHash.from_shards([engine]) if isinstance(engine, SlabHash) else engine
         self.config = config or ServiceConfig()
         self.wal = wal
         self.faults = faults
-        self._key_value = engine.shards[0].config.key_value
-        self._lanes = [Lane(MicroBatcher(self.config.max_batch_size)) for _ in engine.shards]
+        self._key_value = self.engine.shards[0].config.key_value
+        self._lanes = [Lane(MicroBatcher(self.config.max_batch_size)) for _ in self.engine.shards]
         self._latency = LatencyRecorder()
         self._drain_tasks: List["asyncio.Task[None]"] = []
         self._staged: List[_StagedBatch] = []
@@ -394,7 +392,7 @@ class SlabHashService:
         self._batches_aborted = 0
         self._wal_rollbacks = 0
         if faults is not None:
-            for index, table in enumerate(engine.shards):
+            for index, table in enumerate(self.engine.shards):
                 table.alloc.faults = faults.scoped(f"shard:{index}.")
             if wal is not None and wal.faults is None:
                 wal.faults = faults
@@ -951,8 +949,7 @@ class SlabHashService:
             None if self.wal is None else self.wal.path,
             extra_aborted=self._aborted_indices,
         )
-        fresh = engine.shards[shard]
-        self.engine.shards[shard] = fresh
+        self.engine.shards[shard] = fresh = engine.shards[shard]
         if self.faults is not None:
             fresh.alloc.faults = self.faults.scoped(f"shard:{shard}.")
 
@@ -1015,6 +1012,10 @@ class SlabHashService:
         :class:`~repro.service.errors.ShardQuarantined`): the snapshot would
         capture the quarantined lane's suspect state and the truncation
         would discard the very WAL tail its restore needs.
+
+        A one-shard service rewrites an existing table file (the snapshot it
+        was recovered from, say) as a table file: a manifest directory
+        cannot be written where a file stands.
         """
         from repro.persist.snapshot import save as _save
 
@@ -1026,7 +1027,10 @@ class SlabHashService:
                 )
 
         floor = self._batch_index
-        _save(self.engine, snapshot_path, wal_min_batch_index=floor)
+        target: Union[SlabHash, ShardedSlabHash] = self.engine
+        if self.engine.num_shards == 1 and os.path.isfile(snapshot_path):
+            target = self.engine.shards[0]
+        _save(target, snapshot_path, wal_min_batch_index=floor)
         if self.wal is not None:
             self.wal.truncate()
         # The quarantine-restore path rebuilds shards from here.  Recovery

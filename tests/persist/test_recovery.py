@@ -334,13 +334,24 @@ class TestSingleTableIsAOneShardEngine:
             async with service:
                 await service.insert(77, 770)
                 assert await service.search(77) == 770
+                # Its checkpoint goes back over the table file it came from.
+                assert service.checkpoint(table_file) == table_file
+                await service.submit_many(*stream(200, seed=24))
             service.wal.close()
             return service.engine
 
         resumed = asyncio.run(resume())
-        # The resumed service logged its batches: a second recovery sees them.
-        recovered, _ = recover(table_file, wal_path)
+        assert os.path.isfile(table_file)
+        # A second recovery sees the checkpoint plus the batches logged after it.
+        recovered, report = recover(table_file, wal_path)
+        assert report.records_replayed >= 1
         assert engine_state(recovered) == engine_state(resumed)
+        (shard,) = recovered.shards
+        live_arrays = snapshot_arrays(resumed.shards[0], str(tmp_path / "live.npz"))
+        arrays = snapshot_arrays(shard, str(tmp_path / "recovered.npz"))
+        assert arrays.keys() == live_arrays.keys()
+        for name, array in live_arrays.items():
+            assert np.array_equal(arrays[name], array), name
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     @pytest.mark.parametrize("policy_kind", ["none", "stop-the-world", "incremental"])
