@@ -19,11 +19,10 @@ the layer diagram.
 """
 
 from repro.engine.router import ShardRouter
-from repro.engine.sharded import MigrationInFlightError, ShardedSlabHash
+from repro.engine.sharded import ShardedSlabHash
 from repro.engine.stats import EngineStats, ShardPhase, merge_counters
 
 __all__ = [
-    "MigrationInFlightError",
     "ShardRouter",
     "ShardedSlabHash",
     "EngineStats",

@@ -36,7 +36,7 @@ from numpy.typing import DTypeLike
 
 from repro.core.config import SlabAllocConfig
 from repro.core.hashing import is_user_key, user_keys
-from repro.core.resize import LoadFactorPolicy, MigrationStepResult, ResizeResult
+from repro.core.resize import LoadFactorPolicy, ResizeResult
 from repro.core.slab_hash import SlabHash
 from repro.engine.router import ShardRouter
 from repro.engine.stats import EngineStats
@@ -44,29 +44,11 @@ from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import Device, DeviceSpec, TESLA_K40C
 from repro.gpusim.scheduler import WarpScheduler
 
-__all__ = ["MigrationInFlightError", "ShardedSlabHash"]
+__all__ = ["ShardedSlabHash"]
 
 #: Seed offset between the router's hash draw and the shard tables' draws, so
 #: shard choice and bucket choice are independent members of the family.
 _SHARD_SEED_STRIDE = 101
-
-
-class MigrationInFlightError(RuntimeError):
-    """``rebalance(on_migrating="error")`` refused: migrations are in flight.
-
-    Raised *before any shard is touched*, so a refused rebalance mutates
-    nothing.  Pump the listed shards (``maybe_resize`` /
-    ``migrate_step_shard``) or call ``rebalance(on_migrating="complete")``
-    to have the rebalance finish them itself.
-    """
-
-    def __init__(self, shards: Sequence[int]) -> None:
-        self.shards = list(shards)
-        super().__init__(
-            f"rebalance refused: shards {self.shards} have in-flight "
-            "incremental migrations; pump them to completion first, or call "
-            "rebalance(on_migrating='complete') to have rebalance finish them"
-        )
 
 
 class ShardedSlabHash:
@@ -211,12 +193,6 @@ class ShardedSlabHash:
         """
         return self._partition(user_keys(keys))
 
-    def admit_one(self, key: int) -> int:
-        """Shard index for one admitted key (single-op :meth:`admit_partition`)."""
-        shard = self.router.shard_of(key)
-        self._ops_routed[shard] += 1
-        return shard
-
     # ------------------------------------------------------------------ #
     # Bulk operations (mirror SlabHash's bulk API, shard by shard)
     # ------------------------------------------------------------------ #
@@ -348,48 +324,6 @@ class ShardedSlabHash:
     # Online resizing and rebalancing
     # ------------------------------------------------------------------ #
 
-    def resize_shard(
-        self,
-        shard: int,
-        num_buckets: int,
-        *,
-        trigger: str = "manual",
-        incremental: bool = False,
-        step_buckets: Optional[int] = None,
-    ) -> Optional[ResizeResult]:
-        """Resize one shard into ``num_buckets`` buckets (items stay put).
-
-        Routing is untouched — a shard resize only changes that shard's
-        bucket array — so every key remains reachable and the engine's
-        totals (:meth:`__len__`, :meth:`shard_sizes`, :meth:`items`) are
-        unchanged by construction.
-
-        With ``incremental=True`` the shard's migration is *begun* rather
-        than run to completion: the call returns ``None`` (or a counted
-        no-op :class:`ResizeResult` when the shard is already that size)
-        and subsequent batches / :meth:`maybe_resize` /
-        :meth:`migrate_step_shard` calls advance it a bounded number of
-        buckets at a time.  Shards migrate independently — beginning a
-        migration on one shard never blocks the others.
-        """
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
-        if incremental:
-            return self.shards[shard].begin_resize(
-                num_buckets, trigger=trigger, step_buckets=step_buckets
-            )
-        return self.shards[shard].resize(num_buckets, trigger=trigger)
-
-    def migrate_step_shard(self, shard: int) -> MigrationStepResult:
-        """Advance one shard's in-flight migration by one band (see SlabHash)."""
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
-        return self.shards[shard].migrate_step()
-
-    def migrating_shards(self) -> List[int]:
-        """Indices of shards with a migration currently in flight."""
-        return [i for i, shard in enumerate(self.shards) if shard.migration is not None]
-
     def maybe_resize(self) -> List[ResizeResult]:
         """Pump each shard's migration / load-factor policy (see SlabHash).
 
@@ -414,10 +348,7 @@ class ShardedSlabHash:
         return self.shards[shard].maybe_resize()
 
     def rebalance(
-        self,
-        load_factor_policy: Optional[LoadFactorPolicy] = None,
-        *,
-        on_migrating: str = "complete",
+        self, load_factor_policy: Optional[LoadFactorPolicy] = None
     ) -> List[ResizeResult]:
         """Right-size unevenly loaded shards to the policy's target beta.
 
@@ -434,12 +365,10 @@ class ShardedSlabHash:
         independently as its own batches and :meth:`maybe_resize` calls pump
         it.
 
-        A shard with a migration already in flight is handled per
-        ``on_migrating``: ``"complete"`` (default) pumps that migration to
-        completion — appending its :class:`ResizeResult` — and *then*
-        retargets the shard from its settled state; ``"error"`` refuses up
-        front with :class:`MigrationInFlightError` before touching any
-        shard.  Rebalance never retargets from a half-migrated bucket view.
+        A shard with a migration already in flight has that migration
+        pumped to completion first — appending its :class:`ResizeResult` —
+        and is *then* retargeted from its settled state, so rebalance never
+        retargets from a half-migrated bucket view.
 
         Failure semantics: shards are independent devices with independent
         allocators, so one shard's failed migration (e.g. allocator
@@ -450,16 +379,6 @@ class ShardedSlabHash:
         leaves the watermark where it was — the remaining shards still get
         their rebalance attempt, and the first error is re-raised afterwards.
         """
-        if on_migrating not in ("complete", "error"):
-            raise ValueError(
-                f"on_migrating must be 'complete' or 'error', got {on_migrating!r}"
-            )
-        if on_migrating == "error":
-            migrating = [
-                i for i, shard in enumerate(self.shards) if shard.migration is not None
-            ]
-            if migrating:
-                raise MigrationInFlightError(migrating)
         results: List[ResizeResult] = []
         first_error: Optional[Exception] = None
         for shard in self.shards:

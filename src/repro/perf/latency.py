@@ -84,16 +84,11 @@ class LatencyRecorder:
     actually requested.
     """
 
-    __slots__ = ("_samples", "_runs", "_run_count")
+    __slots__ = ("_runs", "_run_count")
 
     def __init__(self) -> None:
-        self._samples: List[float] = []
         self._runs: List[Tuple[float, int]] = []
         self._run_count = 0
-
-    def record(self, seconds: float) -> None:
-        """Record one completed operation's latency."""
-        self._samples.append(float(seconds))
 
     def record_many(self, seconds: float, count: int) -> None:
         """Record ``count`` operations that all observed the same latency.
@@ -106,28 +101,11 @@ class LatencyRecorder:
         self._runs.append((float(seconds), int(count)))
         self._run_count += int(count)
 
-    def extend(self, seconds: Iterable[float]) -> None:
-        """Record a batch worth of latencies at once."""
-        self._samples.extend(float(s) for s in seconds)
-
     def __len__(self) -> int:
-        return len(self._samples) + self._run_count
+        return self._run_count
 
     def report(self) -> LatencyReport:
         """Summarize everything recorded so far."""
-        if not self._runs:
-            return LatencyReport.from_samples(self._samples)
         values = np.array([value for value, _ in self._runs], dtype=np.float64)
         counts = np.array([count for _, count in self._runs], dtype=np.int64)
-        expanded = np.repeat(values, counts)
-        if self._samples:
-            expanded = np.concatenate(
-                [np.asarray(self._samples, dtype=np.float64), expanded]
-            )
-        return LatencyReport.from_samples(expanded)
-
-    def reset(self) -> None:
-        """Drop all recorded samples."""
-        self._samples.clear()
-        self._runs.clear()
-        self._run_count = 0
+        return LatencyReport.from_samples(np.repeat(values, counts))

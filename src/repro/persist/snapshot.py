@@ -27,10 +27,11 @@ rather than guessing.  See ``docs/PERSISTENCE.md`` for the layout.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
-from typing import Dict, Union
+from typing import BinaryIO, Callable, Dict, Set, Union
 
 import numpy as np
 
@@ -125,8 +126,16 @@ def _save_table(table: SlabHash, path: str, wal_min_batch_index: int = 0) -> Non
         # covers the new array's chained slabs, so only its bucket heads
         # need their own array.
         arrays["migration_base_slabs"] = table.migration.new_lists.base_slabs
-    with open(path, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
+    _write_then_replace(path, lambda handle: np.savez_compressed(handle, **arrays))
+
+
+def _write_then_replace(path: str, write: Callable[[BinaryIO], object]) -> None:
+    """Write ``path`` as a sibling file renamed over it, so a write that
+    fails part way leaves whatever stood at ``path`` whole."""
+    partial = path + ".partial"
+    with open(partial, "wb") as handle:
+        write(handle)
+    os.replace(partial, path)
 
 
 def _check_header(header: Dict[str, object], kind: str, where: str) -> None:
@@ -217,9 +226,25 @@ def _load_table(path: str) -> SlabHash:
     return table
 
 
+def _listed_shards(path: str) -> Set[str]:
+    """Shard file names the manifest at ``path`` lists (none if unreadable)."""
+    try:
+        with open(os.path.join(path, _MANIFEST), encoding="utf-8") as handle:
+            return set(json.load(handle)["shards"])
+    except (OSError, ValueError):
+        return set()
+
+
 def _save_engine(engine: ShardedSlabHash, path: str, wal_min_batch_index: int = 0) -> None:
+    # The manifest is the commit point: shard files go under names the
+    # current manifest does not list, the manifest is renamed over last, and
+    # only then are the old shard files dropped.  A save that fails part way
+    # leaves the earlier snapshot whole.
     os.makedirs(path, exist_ok=True)
+    listed = _listed_shards(path)
     shard_files = [f"shard-{index:03d}.npz" for index in range(engine.num_shards)]
+    if listed.intersection(shard_files):
+        shard_files = [f"shard-{index:03d}.1.npz" for index in range(engine.num_shards)]
     for shard, name in zip(engine.shards, shard_files):
         _save_table(shard, os.path.join(path, name))
     manifest = {
@@ -232,9 +257,13 @@ def _save_engine(engine: ShardedSlabHash, path: str, wal_min_batch_index: int = 
         "ops_routed": [int(count) for count in engine._ops_routed],
         "shards": shard_files,
     }
-    with open(os.path.join(path, _MANIFEST), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    text = json.dumps(manifest, indent=2) + "\n"
+    _write_then_replace(
+        os.path.join(path, _MANIFEST), lambda handle: handle.write(text.encode("utf-8"))
+    )
+    for name in listed.difference(shard_files):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(path, name))
 
 
 def _load_engine(path: str) -> ShardedSlabHash:
@@ -259,7 +288,10 @@ def save(
     A :class:`SlabHash` becomes a single compressed file; a
     :class:`ShardedSlabHash` becomes a directory with a ``manifest.json``
     and one file per shard.  The snapshot is host-side work: taking it
-    charges no device events and leaves ``obj`` untouched.
+    charges no device events and leaves ``obj`` untouched.  Files are
+    written beside their target and renamed into place, the manifest last,
+    so a save that fails part way leaves an earlier snapshot at ``path``
+    whole.
 
     ``wal_min_batch_index`` records the first WAL batch index *not* covered
     by this snapshot (the service's checkpoint passes its next batch

@@ -9,11 +9,11 @@ Three mechanisms close the gap between per-operation asyncio overhead and
 the engine's bulk throughput (this is the point of the paper's batched
 concurrent design):
 
-* **Vectorized admission** — an admission (single op or a ``submit_many``
-  array) becomes one :class:`~repro.service.batcher.OpSlice` with *one*
-  future, routed to per-shard operation logs as NumPy array chunks.  No
-  per-operation Python objects, futures, or clock reads exist anywhere on
-  the bulk path.
+* **Vectorized admission** — an admission (a ``submit_many`` array; a
+  single op is an array of one) becomes one
+  :class:`~repro.service.batcher.OpSlice` with *one* future, routed to
+  per-shard operation logs as NumPy array chunks.  No per-operation Python
+  objects, futures, or clock reads exist anywhere on the bulk path.
 * **Per-shard drain loops** — operations are routed to their shard at
   admission time (:meth:`~repro.engine.sharded.ShardedSlabHash.admit_partition`),
   and one independent drain task per shard cuts warp-aligned batches from
@@ -124,9 +124,6 @@ __all__ = [
 LANE_CLOSED = "closed"
 LANE_OPEN = "open"
 LANE_HALF_OPEN = "half_open"
-
-_VALID_OPS = np.array([C.OP_INSERT, C.OP_DELETE, C.OP_SEARCH], dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -379,7 +376,7 @@ class SlabHashService:
         self._resizes_performed = 0
         self._resize_failure_log: List[str] = []
         self._resize_modelled_seconds = 0.0
-        self._first_enqueue: Optional[float] = None
+        self._first_admitted: Optional[float] = None
         self._last_completion: Optional[float] = None
         self._restore_failure_log: List[str] = []
         self._checkpoint_path: Optional[str] = None
@@ -489,12 +486,6 @@ class SlabHashService:
         if not self._running:
             raise RuntimeError("service is not running; use 'async with' or await start()")
 
-    def _stamp_enqueue(self) -> float:
-        now = time.perf_counter()
-        if self._first_enqueue is None:
-            self._first_enqueue = now
-        return now
-
     def _admission_check(self, shard: int, count: int) -> None:
         """Fail fast — typed, retryable, *before* anything is enqueued."""
         if self._closing:
@@ -515,33 +506,6 @@ class SlabHashService:
                     f"{count} would exceed the budget of {budget} — retry later"
                 )
 
-    def _enqueue(
-        self,
-        op_code: int,
-        key: int,
-        value: int,
-        deadline: Optional[float] = None,
-    ) -> "asyncio.Future[np.ndarray]":
-        self._require_running()
-        keys = user_keys([key])
-        shard = self.engine.admit_one(key)
-        self._admission_check(shard, 1)
-        future: "asyncio.Future[np.ndarray]" = asyncio.get_running_loop().create_future()
-        now = self._stamp_enqueue()
-        slice_ = OpSlice(future, 1)
-        chunk = OpChunk(
-            np.array([op_code], dtype=np.int64),
-            keys,
-            np.array([value], dtype=np.uint32) if self._key_value else None,
-            slice_,
-            np.zeros(1, dtype=np.int64),
-            now,
-            deadline,
-        )
-        self._lanes[shard].batcher.add(chunk)
-        self._lanes[shard].wake.set()
-        return future
-
     async def submit(
         self,
         op_code: int,
@@ -550,7 +514,8 @@ class SlabHashService:
         *,
         deadline: Optional[float] = None,
     ) -> int:
-        """Log one operation and await its raw result (SlabHash conventions).
+        """Log one operation, a one-element :meth:`submit_many`, and await
+        its raw result (SlabHash conventions).
 
         Searches resolve to the found value or ``SEARCH_NOT_FOUND``,
         deletions to 1/0 (removed or not), insertions to 0.  ``deadline``
@@ -559,12 +524,10 @@ class SlabHashService:
         :class:`~repro.service.errors.OpDeadlineExceeded` at cut time
         instead of executed late.
         """
-        if op_code not in (C.OP_INSERT, C.OP_DELETE, C.OP_SEARCH):
-            raise ValueError(f"unknown operation code {op_code!r}")
         if op_code == C.OP_INSERT and self._key_value and value is None:
             raise ValueError("key-value mode requires a value for insertions")
-        results = await self._enqueue(
-            op_code, key, 0 if value is None else value, deadline
+        results = await self.submit_many(
+            [op_code], [key], None if value is None else [value], deadline=deadline
         )
         return int(results[0])
 
@@ -615,9 +578,9 @@ class SlabHashService:
             raise ValueError("op_codes, keys and values must have the same length")
         if len(keys) == 0:
             return np.zeros(0, dtype=np.uint32)
-        if not np.isin(op_codes, _VALID_OPS).all():
-            bad = op_codes[~np.isin(op_codes, _VALID_OPS)][0]
-            raise ValueError(f"unknown operation code {int(bad)!r}")
+        bad = (op_codes < C.OP_INSERT) | (op_codes > C.OP_SEARCH)
+        if bad.any():
+            raise ValueError(f"unknown operation code {int(op_codes[bad][0])!r}")
 
         parts = self.engine.admit_partition(keys)
         # All-or-nothing admission: check every target lane before enqueueing
@@ -626,7 +589,9 @@ class SlabHashService:
             if idx.size:
                 self._admission_check(shard, int(idx.size))
         future: "asyncio.Future[np.ndarray]" = asyncio.get_running_loop().create_future()
-        now = self._stamp_enqueue()
+        now = time.perf_counter()
+        if self._first_admitted is None:
+            self._first_admitted = now
         slice_ = OpSlice(future, len(keys))
         for shard, idx in enumerate(parts):
             if not idx.size:
@@ -969,8 +934,8 @@ class SlabHashService:
         stop-the-world resize (one step over the whole array) is fully
         undone, so it is recorded and the service keeps serving rather than
         killing the drain loop.
-        Failures append to an append-only log surfaced via
-        :attr:`resize_failures` / :meth:`stats`; a later successful
+        Failures append to an append-only log surfaced as
+        ``stats().resize_failures``; a later successful
         migration never overwrites or clears an earlier recorded failure.
         """
         try:
@@ -1089,26 +1054,6 @@ class SlabHashService:
         """Per-lane circuit-breaker states (``closed``/``open``/``half_open``)."""
         return tuple(lane.state for lane in self._lanes)
 
-    @property
-    def resizes_performed(self) -> int:
-        """Policy-triggered resizes executed between micro-batches."""
-        return self._resizes_performed
-
-    @property
-    def resize_failures(self) -> Tuple[str, ...]:
-        """Append-only descriptions of failed between-batch migrations.
-
-        Each entry records the batch it followed and the error; the table
-        was restored (strong guarantee) and the service kept serving.  A
-        subsequent successful migration never clears this log.
-        """
-        return tuple(self._resize_failure_log)
-
-    @property
-    def resize_modelled_seconds(self) -> float:
-        """Modelled device time spent in between-batch migrations."""
-        return self._resize_modelled_seconds
-
     def stats(self) -> ServiceStats:
         """Snapshot the service's accounting (latency, throughput, batching).
 
@@ -1117,8 +1062,8 @@ class SlabHashService:
         parallel view — shards are independent modelled devices).
         """
         wall = 0.0
-        if self._first_enqueue is not None and self._last_completion is not None:
-            wall = max(0.0, self._last_completion - self._first_enqueue)
+        if self._first_admitted is not None and self._last_completion is not None:
+            wall = max(0.0, self._last_completion - self._first_admitted)
         lanes = tuple(
             ShardLaneStats(
                 shard=shard,

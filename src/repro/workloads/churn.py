@@ -149,10 +149,8 @@ def build_churn_workload(
 def apply_churn_step(table: "Union[SlabHash, ShardedSlabHash]", step: ChurnStep) -> None:
     """Run one churn batch against a table (SlabHash or ShardedSlabHash)."""
     if step.kind == "insert":
-        values = step.values
-        # Key-only tables take no values; sharded engines expose config via shards.
-        config = table.shards[0].config if hasattr(table, "shards") else table.config
-        table.bulk_insert(step.keys, values if config.key_value else None)
+        # A key-only table ignores the values.
+        table.bulk_insert(step.keys, step.values)
     elif step.kind == "delete":
         table.bulk_delete(step.keys)
     else:  # pragma: no cover - ChurnWorkload only builds the two kinds

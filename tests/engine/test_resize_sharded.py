@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import SlabAllocConfig
 from repro.core.resize import LoadFactorPolicy
-from repro.engine import MigrationInFlightError, ShardedSlabHash
+from repro.engine import ShardedSlabHash
 
 from tests.conftest import make_keys
 
@@ -29,6 +29,10 @@ def build_engine(**kwargs):
     return engine, keys, values
 
 
+def migrating(engine):
+    return [i for i, shard in enumerate(engine.shards) if shard.migration is not None]
+
+
 class TestPerShardResize:
     def test_totals_consistent_immediately_after_shard_resize(self):
         engine, keys, values = build_engine()
@@ -36,7 +40,7 @@ class TestPerShardResize:
         sizes_before = engine.shard_sizes().copy()
         items_before = sorted(engine.items())
 
-        result = engine.resize_shard(1, 64)
+        result = engine.shards[1].resize(64)
         assert result.direction == "grow"
         # __len__, shard_sizes and items must all agree right away.
         assert len(engine) == total_before
@@ -45,17 +49,10 @@ class TestPerShardResize:
         assert engine.num_buckets == 3 * 8 + 64
         assert np.array_equal(engine.bulk_search(keys), values.astype(np.uint32))
 
-    def test_shard_index_is_validated(self):
-        engine, _, _ = build_engine()
-        with pytest.raises(ValueError):
-            engine.resize_shard(4, 16)
-        with pytest.raises(ValueError):
-            engine.resize_shard(-1, 16)
-
     def test_measure_covers_resize_maintenance_phase(self):
         """A zero-routed-ops phase (pure resize) is measurable, not an error."""
         engine, _, _ = build_engine()
-        stats = engine.measure(lambda: engine.resize_shard(0, 128), label="resize shard 0")
+        stats = engine.measure(lambda: engine.shards[0].resize(128), label="resize shard 0")
         assert stats.num_ops == 0
         assert stats.throughput == 0.0
         assert stats.load_imbalance == 1.0
@@ -69,8 +66,8 @@ class TestRebalance:
         engine, keys, values = build_engine()
         policy = LoadFactorPolicy(min_buckets=2)
         # Skew the shards by hand: one far too small, one far too large.
-        engine.resize_shard(0, 1)
-        engine.resize_shard(2, 256)
+        engine.shards[0].resize(1)
+        engine.shards[2].resize(256)
         total_before = len(engine)
         items_before = sorted(engine.items())
 
@@ -99,7 +96,7 @@ class TestRebalance:
     def test_measure_of_rebalance_reports_consistent_totals(self):
         engine, keys, values = build_engine()
         policy = LoadFactorPolicy(min_buckets=2)
-        engine.resize_shard(3, 1)
+        engine.shards[3].resize(1)
         before = len(engine)
         stats = engine.measure(lambda: engine.rebalance(policy), label="rebalance")
         assert stats.num_ops == 0
@@ -239,37 +236,16 @@ class TestRebalanceMigrationBugfix:
         eng.bulk_insert(keys, keys)
         for key in keys:
             model[int(key)] = int(key)
-        eng.resize_shard(0, 96, incremental=True, step_buckets=2)
-        assert eng.migrating_shards() == [0]
+        eng.shards[0].begin_resize(96, step_buckets=2)
+        assert migrating(eng) == [0]
         results = eng.rebalance()
         # The in-flight migration was pumped to completion — never rebuilt
         # from a half-migrated bucket view — and the shard then retargeted.
-        assert eng.migrating_shards() == []
+        assert migrating(eng) == []
         assert any(r.trigger in ("manual", "rebalance") for r in results)
         assert sorted(eng.items()) == sorted(model.items())
         found = eng.bulk_search(keys)
         assert np.array_equal(found.astype(np.uint64), keys.astype(np.uint64))
-
-    def test_rebalance_on_migrating_error_refuses_without_touching_state(self):
-        policy = LoadFactorPolicy(min_buckets=2)
-        eng = ShardedSlabHash(
-            2, 24, seed=33, alloc_config=ALLOC, load_factor_policy=policy
-        )
-        keys = make_keys(300, seed=33)
-        eng.bulk_insert(keys, keys)
-        eng.resize_shard(1, 96, incremental=True, step_buckets=2)
-        watermark = eng.shards[1].migration.watermark
-        with pytest.raises(MigrationInFlightError) as excinfo:
-            eng.rebalance(on_migrating="error")
-        assert excinfo.value.shards == [1]
-        # Refused up front: the migration is still in flight, unadvanced.
-        assert eng.migrating_shards() == [1]
-        assert eng.shards[1].migration.watermark == watermark
-
-    def test_rebalance_on_migrating_is_validated(self):
-        eng = ShardedSlabHash(2, 24, alloc_config=ALLOC)
-        with pytest.raises(ValueError, match="on_migrating"):
-            eng.rebalance(LoadFactorPolicy(min_buckets=2), on_migrating="skip")
 
 
 def engine_state(engine):
@@ -282,22 +258,22 @@ def engine_state(engine):
 
 
 class TestIncrementalShardMigration:
-    """Per-shard incremental migrations driven through the engine API."""
+    """Incremental migrations on an engine's shards, one shard at a time."""
 
     def begin(self, seed=7):
         engine = ShardedSlabHash(2, 48, seed=seed, alloc_config=ALLOC, backend="vectorized")
         keys = make_keys(400, seed=seed)
         engine.bulk_insert(keys, keys)
-        assert engine.resize_shard(1, 96, incremental=True, step_buckets=4) is None
+        assert engine.shards[1].begin_resize(96, step_buckets=4) is None
         return engine, keys
 
     def test_steps_advance_to_completion_and_match_dict_model(self):
         engine, keys = self.begin()
-        assert engine.migrating_shards() == [1]
+        assert migrating(engine) == [1]
         shard_items = len(engine.shards[1])
         watermark, moved, steps = 0, 0, []
-        while engine.migrating_shards():
-            step = engine.migrate_step_shard(1)
+        while migrating(engine):
+            step = engine.shards[1].migrate_step()
             assert step.buckets_moved <= 4
             assert step.watermark >= watermark
             watermark = step.watermark
@@ -313,33 +289,31 @@ class TestIncrementalShardMigration:
     def test_step_sequence_is_bit_identical_across_twins(self):
         first, _ = self.begin(seed=9)
         second, _ = self.begin(seed=9)
-        while first.migrating_shards():
-            a = first.migrate_step_shard(1)
-            b = second.migrate_step_shard(1)
+        while migrating(first):
+            a = first.shards[1].migrate_step()
+            b = second.shards[1].migrate_step()
             assert (a.buckets_moved, a.items_moved, a.watermark, a.done) == (
                 b.buckets_moved,
                 b.items_moved,
                 b.watermark,
                 b.done,
             )
-        assert second.migrating_shards() == []
+        assert migrating(second) == []
         assert engine_state(first) == engine_state(second)
 
-    def test_migrate_step_shard_index_is_validated(self):
+    def test_maybe_resize_shard_index_is_validated(self):
         engine, _ = self.begin()
         for shard in (-1, 2):
-            with pytest.raises(ValueError, match="out of range"):
-                engine.migrate_step_shard(shard)
             with pytest.raises(ValueError, match="out of range"):
                 engine.maybe_resize_shard(shard)
 
     def test_maybe_resize_shard_pumps_only_that_shard(self):
         engine, keys = self.begin()
-        engine.resize_shard(0, 96, incremental=True, step_buckets=4)
+        engine.shards[0].begin_resize(96, step_buckets=4)
         untouched = engine.shards[0].migration.watermark
-        while 1 in engine.migrating_shards():
+        while 1 in migrating(engine):
             engine.maybe_resize_shard(1)
-        assert engine.migrating_shards() == [0]
+        assert migrating(engine) == [0]
         assert engine.shards[0].migration.watermark == untouched
         assert np.array_equal(engine.bulk_search(keys), keys)
 

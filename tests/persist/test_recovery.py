@@ -400,6 +400,78 @@ class TestSingleTableIsAOneShardEngine:
                 assert np.array_equal(arrays[name], array), (source, name)
 
 
+class TestCheckpointFailure:
+    """A checkpoint that fails part way leaves the previous snapshot whole:
+    the WAL still holds every batch since it, so recovery lands on the live
+    state."""
+
+    @staticmethod
+    def tear_write(monkeypatch, call):
+        # The ``call``-th snapshot file write puts down a few bytes and dies.
+        real, calls = np.savez_compressed, []
+
+        def torn(handle, **arrays):
+            calls.append(handle)
+            if len(calls) == call:
+                handle.write(b"PK\x03\x04 torn")
+                raise OSError("disk full")
+            return real(handle, **arrays)
+
+        monkeypatch.setattr(np, "savez_compressed", torn)
+
+    def crash_mid_checkpoint(self, monkeypatch, tmp_path, engine, snapshot, call):
+        wal_path = str(tmp_path / "ops.wal")
+
+        async def main():
+            async with SlabHashService(
+                engine, config=FAST, wal=WriteAheadLog(wal_path)
+            ) as service:
+                await service.submit_many(*stream(300, seed=41))
+                service.checkpoint(snapshot)
+                await service.submit_many(*stream(200, seed=42))
+                with monkeypatch.context() as patch:
+                    self.tear_write(patch, call)
+                    with pytest.raises(OSError, match="disk full"):
+                        service.checkpoint(snapshot)
+                await service.submit_many(*stream(100, seed=43))
+                return service
+
+        service = asyncio.run(main())
+        recovered, report = recover(snapshot, wal_path)
+        assert report.records_replayed >= 2
+        assert engine_state(recovered) == engine_state(service.engine)
+        # The next checkpoint goes through and recovers as well.
+        service.checkpoint(snapshot)
+        assert engine_state(recover(snapshot, wal_path)[0]) == engine_state(service.engine)
+        service.wal.close()
+
+    def test_engine_checkpoint_torn_at_its_second_shard(self, monkeypatch, tmp_path):
+        engine = ShardedSlabHash(2, 8, alloc_config=SMALL_ALLOC, seed=41)
+        snapshot = str(tmp_path / "checkpoint")
+        self.crash_mid_checkpoint(monkeypatch, tmp_path, engine, snapshot, call=2)
+        assert sorted(os.listdir(snapshot)) == [
+            "manifest.json", "shard-000.1.npz", "shard-001.1.npz"
+        ]
+
+    def test_table_file_checkpoint_torn_mid_write(self, monkeypatch, tmp_path):
+        table = SlabHash(16, alloc_config=SMALL_ALLOC, seed=41)
+        snapshot = str(tmp_path / "table.npz")
+        table.save(snapshot)
+        self.crash_mid_checkpoint(monkeypatch, tmp_path, table, snapshot, call=1)
+        assert sorted(os.listdir(tmp_path)) == ["ops.wal", "table.npz"]
+
+    def test_checkpoints_alternate_shard_file_names(self, tmp_path):
+        engine = ShardedSlabHash(2, 8, alloc_config=SMALL_ALLOC, seed=43)
+        snapshot = str(tmp_path / "checkpoint")
+        fresh = ["manifest.json", "shard-000.npz", "shard-001.npz"]
+        for names in (fresh, ["manifest.json", "shard-000.1.npz", "shard-001.1.npz"], fresh):
+            keys = make_keys(50, seed=len(engine) + 1)
+            engine.bulk_insert(keys, keys)
+            save(engine, snapshot)
+            assert sorted(os.listdir(snapshot)) == names
+            assert engine_state(load(snapshot)) == engine_state(engine)
+
+
 class TestWalFloorBoundary:
     """The floor boundary is exact and skipping is prefix-only (PR 9 fixes).
 

@@ -222,25 +222,25 @@ class TestEngineRoundTrip:
         )
         keys = make_keys(300, seed=47)
         engine.bulk_insert(keys, keys)
-        engine.resize_shard(1, 48, incremental=True, step_buckets=4)
-        engine.migrate_step_shard(1)
+        engine.shards[1].begin_resize(48, step_buckets=4)
+        engine.shards[1].migrate_step()
         restored = load(save(engine, str(tmp_path / "engine-snapshot")))
-        assert restored.migrating_shards() == [1]
+        assert [shard.migration is not None for shard in restored.shards] == [False, True]
         assert (
             restored.shards[1].migration.watermark
             == engine.shards[1].migration.watermark
         )
         assert_bit_identical(engine, restored)
         # Both finish the migration step for step, then agree bit for bit.
-        while engine.migrating_shards():
-            a = engine.migrate_step_shard(1)
-            b = restored.migrate_step_shard(1)
+        while engine.shards[1].migration is not None:
+            a = engine.shards[1].migrate_step()
+            b = restored.shards[1].migrate_step()
             assert (a.buckets_moved, a.items_moved, a.watermark) == (
                 b.buckets_moved,
                 b.items_moved,
                 b.watermark,
             )
-        assert restored.migrating_shards() == []
+        assert restored.shards[1].migration is None
         assert_bit_identical(engine, restored)
         assert np.array_equal(restored.bulk_search(keys), keys)
 

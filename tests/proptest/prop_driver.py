@@ -311,59 +311,34 @@ def _drain_migration(impl) -> None:
     """Run any in-flight migration to completion (stop-the-world resize
     requires a quiescent table, and the drain itself is deterministic).
     """
-    if isinstance(impl, ShardedSlabHash):
-        while True:
-            migrating = impl.migrating_shards()
-            if not migrating:
-                return
-            for index in migrating:
-                impl.migrate_step_shard(index)
-    else:
-        while impl.migration is not None:
-            impl.migrate_step()
+    for table in _tables(impl):
+        while table.migration is not None:
+            table.migrate_step()
 
 
 def _resize_impl(impl, factor: int, direction: str) -> None:
     _drain_migration(impl)
-    if isinstance(impl, ShardedSlabHash):
-        for index, shard in enumerate(impl.shards):
-            impl.resize_shard(index, _scaled_target(shard.num_buckets, factor, direction))
-    else:
-        impl.resize(_scaled_target(impl.num_buckets, factor, direction))
+    for table in _tables(impl):
+        table.resize(_scaled_target(table.num_buckets, factor, direction))
 
 
 def _begin_migration_impl(impl, factor: int, direction: str) -> None:
     """Begin an incremental migration per table; tables already migrating
     are left alone (double-begin is an API error)."""
-    if isinstance(impl, ShardedSlabHash):
-        for index, shard in enumerate(impl.shards):
-            if shard.migration is None:
-                impl.resize_shard(
-                    index,
-                    _scaled_target(shard.num_buckets, factor, direction),
-                    incremental=True,
-                    step_buckets=2,
-                )
-    elif impl.migration is None:
-        impl.begin_resize(
-            _scaled_target(impl.num_buckets, factor, direction), step_buckets=2
-        )
+    for table in _tables(impl):
+        if table.migration is None:
+            table.begin_resize(
+                _scaled_target(table.num_buckets, factor, direction), step_buckets=2
+            )
 
 
 def _migrate_step_impl(impl) -> None:
-    if isinstance(impl, ShardedSlabHash):
-        for index in impl.migrating_shards():
-            outcome = impl.migrate_step_shard(index)
-            if outcome.result is not None:
-                impl.maybe_resize_shard(index)
-        return
-    if impl.migration is not None:
-        outcome = impl.migrate_step()
-        if outcome.result is not None:
+    for table in _tables(impl):
+        if table.migration is not None and table.migrate_step().result is not None:
             # The step completed the migration; reconcile with the auto
             # policy right away (exactly what the post-batch hook does),
             # so quiescence is checkable on the very next step.
-            impl.maybe_resize()
+            table.maybe_resize()
 
 
 def apply_to_impl(impl, step: Step):

@@ -321,7 +321,7 @@ def run_chaos_program(
                 key = next(
                     k
                     for k in range(KEY_SPACE, KEY_SPACE + 1000)
-                    if engine.admit_one(k) == shard
+                    if engine.router.shard_of(k) == shard
                 )
                 for probe in range(50):
                     try:

@@ -590,7 +590,7 @@ def run_quarantine_crash_scenario(seed: int, tmp_path) -> None:
         keys = []
         while len(keys) < count:
             key = rng.randrange(1, KEY_SPACE)
-            if key not in used and engine.admit_one(key) == shard:
+            if key not in used and engine.router.shard_of(key) == shard:
                 keys.append(key)
                 used.add(key)
         per_shard_keys[shard].extend(keys)

@@ -8,6 +8,7 @@ engine calls.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from repro.core import constants as C
 from repro.core.config import SlabAllocConfig
 from repro.core.slab_hash import SlabHash
 from repro.engine.sharded import ShardedSlabHash
-from repro.service import ServiceConfig, SlabHashService
+from repro.persist import WriteAheadLog, read_records
+from repro.service import OpDeadlineExceeded, ServiceConfig, SlabHashService
 from repro.workloads.distributions import GAMMA_40_UPDATES, build_concurrent_workload
 from repro.workloads.generators import unique_random_keys, values_for_keys
 
@@ -78,6 +80,89 @@ class TestSingleOperations:
             service = SlabHashService(make_engine(), config=FAST)
             with pytest.raises(RuntimeError, match="not running"):
                 await service.insert(1, 2)
+
+        asyncio.run(main())
+
+
+class TestOneAdmissionPath:
+    """A single-key call is a one-element ``submit_many``: the two spellings
+    leave the same results, WAL records, lane stats and routing accounting."""
+
+    def run(self, tmp_path, name, single):
+        rng = np.random.default_rng(3)
+        rounds = [
+            [
+                (int(op), int(key), int(rng.integers(0, 2**20)) if op == C.OP_INSERT else None)
+                for op, key in zip(rng.integers(1, 4, size=20), rng.integers(1, 60, size=20))
+            ]
+            for _ in range(6)
+        ]
+        engine = make_engine()
+        wal_path = str(tmp_path / f"{name}.wal")
+        wal = WriteAheadLog(wal_path)
+
+        async def admit(service, op, key, value):
+            if single:
+                return await service.submit(op, key, value)
+            values = None if value is None else [value]
+            return int((await service.submit_many([op], [key], values))[0])
+
+        async def main():
+            async with SlabHashService(engine, config=FAST, wal=wal) as service:
+                results = []
+                for ops in rounds:
+                    results += await asyncio.gather(*(admit(service, *op) for op in ops))
+                return results, service.stats().per_shard
+
+        results, lanes = asyncio.run(main())
+        wal.close()
+        records = [
+            (r.batch_index, r.op_codes.tolist(), r.keys.tolist(), r.values.tolist())
+            for r in read_records(wal_path)[0]
+        ]
+        return results, records, lanes, engine._ops_routed.tolist()
+
+    def test_single_key_calls_equal_one_element_batches(self, tmp_path):
+        single = self.run(tmp_path, "single", single=True)
+        batched = self.run(tmp_path, "batched", single=False)
+        assert single == batched
+        assert sum(single[3]) == 120 and len(single[1]) > 6  # co-batched rounds
+
+    def test_rejections_admit_nothing_on_either_path(self):
+        async def main():
+            engine = make_engine()
+            async with SlabHashService(engine, config=FAST) as service:
+                for bad in (
+                    lambda: service.search(C.EMPTY_KEY),
+                    lambda: service.submit_many([C.OP_SEARCH], [C.EMPTY_KEY]),
+                ):
+                    with pytest.raises(ValueError, match="storable key domain"):
+                        await bad()
+                for bad in (
+                    lambda: service.submit(42, 5),
+                    lambda: service.submit_many([42], [5]),
+                    lambda: service.submit_many([C.OP_SEARCH, 42], [5, 6]),
+                ):
+                    with pytest.raises(ValueError, match="unknown operation code 42"):
+                        await bad()
+                for code in (C.OP_INSERT - 1, C.OP_SEARCH + 1):
+                    with pytest.raises(ValueError, match="unknown operation code"):
+                        await service.submit_many([code], [5], [1])
+                with pytest.raises(ValueError, match="requires a value"):
+                    await service.insert(5)
+                assert engine._ops_routed.tolist() == [0, 0, 0]
+                assert service.pending == 0
+                expired = time.perf_counter() - 1.0
+                for late in (
+                    lambda: service.submit(C.OP_INSERT, 7, 70, deadline=expired),
+                    lambda: service.submit_many([C.OP_INSERT], [8], [80], deadline=expired),
+                ):
+                    with pytest.raises(OpDeadlineExceeded):
+                        await late()
+                stats = service.stats()
+                assert stats.ops_expired == 2 and stats.ops_completed == 0
+                assert await service.search(7) is None
+                assert await service.search(8) is None
 
         asyncio.run(main())
 

@@ -356,7 +356,7 @@ class TestCircuitBreaker:
                 service._lanes[0].state = LANE_OPEN
                 keys = np.arange(1, 100, dtype=np.uint64)
                 shard0 = [
-                    int(k) for k in keys if service.engine.admit_one(int(k)) == 0
+                    int(k) for k in keys if service.engine.router.shard_of(int(k)) == 0
                 ]
                 with pytest.raises(ShardQuarantined) as info:
                     await service.insert(shard0[0], 1)
@@ -880,12 +880,12 @@ class TestSerialExecution:
                 assert ("shard:2.migration.step", 1) in plan.fired_sites()
                 # Keep searching until every shard's pumps have settled.
                 for _ in range(200):
-                    if not engine.migrating_shards():
+                    if all(shard.migration is None for shard in engine.shards):
                         break
                     await service.submit_many(
                         np.full(len(keys), C.OP_SEARCH, dtype=np.int64), keys
                     )
-                assert engine.migrating_shards() == []
+                assert all(shard.migration is None for shard in engine.shards)
                 assert engine.shards[2].num_buckets > 2
                 assert engine.shards[2].resize_stats.grows >= 1
                 found = await service.submit_many(

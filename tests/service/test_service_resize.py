@@ -49,7 +49,8 @@ class TestServiceResize:
                 found = await service.submit_many(
                     np.full(len(survivors), C.OP_SEARCH), survivors
                 )
-                return results, found, service.resizes_performed, service.resize_modelled_seconds
+                stats = service.stats()
+                return results, found, stats.resizes_performed, stats.resize_modelled_seconds
 
         results, found, resizes, modelled = asyncio.run(main())
         # All deletes hit (every doomed key was inserted in an earlier batch or
@@ -76,7 +77,7 @@ class TestServiceResize:
         async def main():
             async with SlabHashService(engine, config=FAST) as service:
                 await service.submit_many(op_codes, keys, values)
-                return service.resizes_performed
+                return service.stats().resizes_performed
 
         resizes = asyncio.run(main())
         assert resizes >= 2
@@ -100,7 +101,7 @@ class TestServiceResize:
                 await service.insert(2, 20)  # triggers the failing resize
                 assert await service.search(1) == 10  # still serving
                 assert await service.search(2) == 20
-                return service.resize_failures
+                return service.stats().resize_failures
 
         failures = asyncio.run(main())
         assert len(failures) >= 1
@@ -127,13 +128,12 @@ class TestServiceResize:
                 await service.search(1)      # batch 1+: succeeding resizes
                 await service.insert(2, 20)
                 assert calls["n"] >= 2  # a success really did follow
-                stats = service.stats()
-                return service.resize_failures, stats
+                return service.stats()
 
-        failures, stats = asyncio.run(main())
+        stats = asyncio.run(main())
+        failures = stats.resize_failures
         assert len(failures) == 1  # recorded once, never overwritten
         assert "transient exhaustion" in failures[0]
-        assert stats.resize_failures == failures  # surfaced in ServiceStats
         assert stats.as_dict()["resize_failures"] == list(failures)
         assert stats.resizes_performed == stats.as_dict()["resizes_performed"]
 
@@ -144,7 +144,7 @@ class TestServiceResize:
             async with SlabHashService(table, config=FAST) as service:
                 for key in range(1, 200):
                     await service.insert(key, key)
-                return service.resizes_performed
+                return service.stats().resizes_performed
 
         assert asyncio.run(main()) == 0
         assert table.resize_stats.resizes == 0
